@@ -538,6 +538,16 @@ def _add_common(p):
     p.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
+def _add_query_options(p):
+    p.add_argument("--points", type=int, default=11, help="interpolation points (default 11)")
+    p.add_argument("--vocab", default=None,
+                   help="vocabulary file (default: from index metadata or a sibling vocabulary.txt)")
+    p.add_argument("--stoplist", default=None, help="stop-word file override")
+    p.add_argument("--min-length", type=int, default=None, help="token length override")
+    p.add_argument("--log-scale-queries", type=lambda s: s.lower() in ("1", "true", "yes"),
+                   default=None, help="override query log damping (true/false)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lsikit",
@@ -574,13 +584,8 @@ def build_parser():
     eval_p.add_argument("--index", required=True, help="index matrix (Matrix Market)")
     eval_p.add_argument("--queries", required=True, help="SMART query file")
     eval_p.add_argument("--qrels", required=True, help="relevance judgments file")
-    eval_p.add_argument("--points", type=int, default=11, help="interpolation points (default 11)")
-    eval_p.add_argument("--vocab", default=None, help="vocabulary file (default: from index metadata)")
+    _add_query_options(eval_p)
     eval_p.add_argument("--meta", default=None, help="index metadata JSON (default: sibling of index)")
-    eval_p.add_argument("--stoplist", default=None, help="stop-word file override")
-    eval_p.add_argument("--min-length", type=int, default=None, help="token length override")
-    eval_p.add_argument("--log-scale-queries", type=lambda s: s.lower() in ("1", "true", "yes"),
-                        default=None, help="override query log damping (true/false)")
     eval_p.add_argument("--csv", action="store_true", help="also write per-query CSV")
     _add_common(eval_p)
     eval_p.set_defaults(func=cmd_eval, parser_ref=eval_p)
@@ -590,17 +595,12 @@ def build_parser():
     sweep_p.add_argument("--queries", required=True, help="SMART query file")
     sweep_p.add_argument("--qrels", required=True, help="relevance judgments file")
     sweep_p.add_argument("--ranks", required=True, help="rank list, e.g. 1:40 or 5,10,20")
-    sweep_p.add_argument("--points", type=int, default=11)
+    _add_query_options(sweep_p)
     sweep_p.add_argument("--maxiter", type=int, default=100)
     sweep_p.add_argument("--stable-window", type=int, default=3)
     sweep_p.add_argument("--nmf-rank", type=int, default=None,
                          help="rank of the NMF baseline (default: largest sweep rank)")
     sweep_p.add_argument("--nmf-iterations", type=int, default=200)
-    sweep_p.add_argument("--vocab", default=None)
-    sweep_p.add_argument("--stoplist", default=None)
-    sweep_p.add_argument("--min-length", type=int, default=None)
-    sweep_p.add_argument("--log-scale-queries", type=lambda s: s.lower() in ("1", "true", "yes"),
-                         default=None)
     _add_common(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep, parser_ref=sweep_p)
 

@@ -2,26 +2,20 @@
 
 Dense matrices are plain float64 ``numpy.ndarray`` objects in row-major
 order.  Sparse matrices are immutable coordinate-triplet values
-(:class:`SparseMatrix`).  The eigen and SVD paths share one algorithmic
-core: cyclic Jacobi plane rotations, applied two-sided to a symmetric
-matrix for eigenpairs and one-sided to the columns of a rectangular
-matrix for singular triplets (which is the same rotation sequence the
-implicit Gram matrix would receive, without squaring the condition
-number).  Rotations are scheduled round-robin so that each round touches
-disjoint index pairs and can be applied as one vectorized block; the
-schedule is fixed, so results are deterministic.
+(:class:`SparseMatrix`).  Eigenpairs and singular triplets come from
+one LAPACK call each (``numpy.linalg.eigh`` and ``numpy.linalg.svd``),
+followed by a stable sort and a fixed sign convention, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 EPS = np.finfo(float).eps
 
-_MAX_SWEEPS = 60
 _NMF_GUARD = 1e-9
 _ORTHO_TOL = 1e-8
 
@@ -178,124 +172,7 @@ def frobenius_norm(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi rotation core
-
-
-@functools.lru_cache(maxsize=128)
-def _round_robin_schedule(n):
-    # Classic tournament schedule: n-1 rounds (n even) of disjoint pairs,
-    # covering every pair exactly once per sweep.
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def _rotation_coeffs(app, aqq, apq):
-    # Stable Jacobi angles: tan of the smaller rotation angle that
-    # annihilates the off-diagonal entry apq.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = (aqq - app) / (2.0 * apq)
-        t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-        t = np.where(np.abs(theta) > 1e8, 1.0 / (2.0 * theta), t)
-    t = np.where(theta == 0.0, 1.0, t)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    return c, t * c
-
-
-def _jacobi_eigh(h, max_sweeps=_MAX_SWEEPS):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns unordered eigenvalues and the accumulated orthogonal matrix.
-    Pairs are skipped once their off-diagonal entry is negligible
-    relative to the local diagonal, which preserves high relative
-    accuracy for small eigenvalues.
-    """
-    a = np.array(h, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return np.diagonal(a).copy(), v
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diagonal(a))
-        if np.linalg.norm(off) <= n * EPS * norm:
-            break
-        rotated = False
-        for ps, qs in _round_robin_schedule(n):
-            app = a[ps, ps]
-            aqq = a[qs, qs]
-            apq = a[ps, qs]
-            active = np.abs(apq) > EPS * np.sqrt(np.abs(app * aqq))
-            if not np.any(active):
-                continue
-            rotated = True
-            ps, qs = ps[active], qs[active]
-            c, s = _rotation_coeffs(app[active], aqq[active], apq[active])
-            # A <- J^T A J, J a direct sum of disjoint plane rotations.
-            ap, aq = a[:, ps].copy(), a[:, qs].copy()
-            a[:, ps] = c * ap - s * aq
-            a[:, qs] = s * ap + c * aq
-            ap, aq = a[ps, :].copy(), a[qs, :].copy()
-            a[ps, :] = c[:, None] * ap - s[:, None] * aq
-            a[qs, :] = s[:, None] * ap + c[:, None] * aq
-            a[ps, qs] = 0.0
-            a[qs, ps] = 0.0
-            vp, vq = v[:, ps].copy(), v[:, qs].copy()
-            v[:, ps] = c * vp - s * vq
-            v[:, qs] = s * vp + c * vq
-        if not rotated:
-            break
-    return np.diagonal(a).copy(), v
-
-
-def _hestenes_svd(a, max_sweeps=_MAX_SWEEPS):
-    """One-sided Jacobi SVD of ``a`` with at most as many columns as rows.
-
-    Columns are rotated to mutual orthogonality; the rotation angles are
-    exactly the Jacobi angles of the implicit Gram matrix.  Returns the
-    working matrix (columns = singular values times left vectors) and
-    the accumulated right-rotation matrix, both unordered.
-    """
-    w = np.array(a, dtype=float)
-    n = w.shape[1]
-    v = np.eye(n)
-    if n <= 1:
-        return w, v
-    for _ in range(max_sweeps):
-        rotated = False
-        for ps, qs in _round_robin_schedule(n):
-            wp = w[:, ps]
-            wq = w[:, qs]
-            app = np.einsum("ij,ij->j", wp, wp)
-            aqq = np.einsum("ij,ij->j", wq, wq)
-            apq = np.einsum("ij,ij->j", wp, wq)
-            active = np.abs(apq) > EPS * np.sqrt(app * aqq)
-            if not np.any(active):
-                continue
-            rotated = True
-            ps, qs = ps[active], qs[active]
-            c, s = _rotation_coeffs(app[active], aqq[active], apq[active])
-            wp, wq = w[:, ps].copy(), w[:, qs].copy()
-            w[:, ps] = c * wp - s * wq
-            w[:, qs] = s * wp + c * wq
-            vp, vq = v[:, ps].copy(), v[:, qs].copy()
-            v[:, ps] = c * vp - s * vq
-            v[:, qs] = s * vp + c * vq
-        if not rotated:
-            break
-    return w, v
+# sign convention
 
 
 def _sign_fix(vectors):
@@ -317,19 +194,6 @@ def _sign_fix(vectors):
     return out, signs
 
 
-def _orthonormal_complement_column(existing, dim):
-    # Deterministic Gram-Schmidt completion against coordinate axes.
-    for cand in range(dim):
-        e = np.zeros(dim)
-        e[cand] = 1.0
-        for i in range(existing.shape[1]):
-            e -= (existing[:, i] @ e) * existing[:, i]
-        e_norm = np.linalg.norm(e)
-        if e_norm > 0.5:
-            return e / e_norm
-    raise ValueError("cannot extend orthonormal basis")
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -337,9 +201,10 @@ def _orthonormal_complement_column(existing, dim):
 def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
-    Eigenvalues are sorted non-increasing with ties resolved by
-    ascending original position; each eigenvector's largest-magnitude
-    component is made positive, so the output is fully deterministic.
+    Eigenvalues are sorted non-increasing by a stable sort, so ties keep
+    LAPACK's order (ascending original position for diagonal input);
+    each eigenvector's largest-magnitude component is made positive, so
+    the output is fully deterministic.
 
     Raises ``ValueError`` for non-square or asymmetric input (the
     report includes the worst offending entry) and for k out of range.
@@ -358,7 +223,7 @@ def symmetric_eigen_topk(h, k: int) -> EigenPairs:
         )
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    values, vectors = _jacobi_eigh(a)
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     values = values[order][:k]
     vectors, _ = _sign_fix(vectors[:, order][:, :k])
@@ -370,31 +235,21 @@ def truncated_svd(a, k: int) -> SvdFactors:
 
     Signs follow the convention of :func:`symmetric_eigen_topk` applied
     to the right singular vectors, with the left vectors flipped in
-    step.  Singular values below max(M, N) * eps * sigma_max are
-    treated as zero and their left vectors completed orthonormally.
+    step.  Singular values at or below max(M, N) * eps * sigma_max are
+    set to exactly zero; their singular vectors stay LAPACK's orthonormal
+    ones.
     """
     dense = as_dense(a)
     m, n = dense.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range [1, {min(m, n)}]")
-    transposed = m < n
-    work = dense.T if transposed else dense
-    w, v = _hestenes_svd(work)
-    sig = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order][:k]
-    w = w[:, order][:, :k]
-    v = v[:, order][:, :k]
-    cutoff = max(m, n) * EPS * (float(sig[0]) if sig.size else 0.0)
-    u = np.zeros_like(w)
-    for j in range(k):
-        if sig[j] > cutoff:
-            u[:, j] = w[:, j] / sig[j]
-        else:
-            sig[j] = 0.0
-            u[:, j] = _orthonormal_complement_column(u[:, :j], u.shape[0])
+    # the wide orientation keeps LAPACK's output identical across BLAS thread counts
+    transposed = m > n
+    u, sig, vt = np.linalg.svd(dense.T if transposed else dense, full_matrices=False)
+    u, sig, v = u[:, :k], sig[:k], vt[:k].T
     if transposed:
         u, v = v, u
+    sig[sig <= max(m, n) * EPS * sig[0]] = 0.0
     v, signs = _sign_fix(v)
     u = u * signs
     return SvdFactors(u, sig, v)
@@ -405,6 +260,17 @@ def rank_k_reconstruct(f: SvdFactors) -> np.ndarray:
     if f.left.shape[1] != f.rank or f.right.shape[1] != f.rank:
         raise ValueError("factor shapes inconsistent")
     return (f.left * f.values) @ f.right.T
+
+
+def _nmf_checked(a, k, iterations):
+    dense = as_dense(a)
+    if np.any(dense < 0):
+        raise ValueError("input must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    return dense
 
 
 def _nmf_init(m, n, k, seed):
@@ -428,13 +294,7 @@ def nmf_factorize(a, k: int, iterations: int, seed: int):
 
     Returns ``(basis, coefficients)`` of shapes (M, k) and (k, N).
     """
-    dense = as_dense(a)
-    if np.any(dense < 0):
-        raise ValueError("input must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+    dense = _nmf_checked(a, k, iterations)
     b, c = _nmf_init(dense.shape[0], dense.shape[1], k, seed)
     for _ in range(iterations):
         b, c = _nmf_step(dense, b, c)
@@ -444,9 +304,7 @@ def nmf_factorize(a, k: int, iterations: int, seed: int):
 def nmf_objective_trace(a, k: int, iterations: int, seed: int) -> np.ndarray:
     """Frobenius error after each multiplicative update, same run as
     :func:`nmf_factorize` with identical arguments."""
-    dense = as_dense(a)
-    if np.any(dense < 0):
-        raise ValueError("input must be nonnegative")
+    dense = _nmf_checked(a, k, iterations)
     b, c = _nmf_init(dense.shape[0], dense.shape[1], k, seed)
     errors = np.empty(iterations)
     for i in range(iterations):

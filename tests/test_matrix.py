@@ -265,8 +265,15 @@ def test_nmf_deterministic_for_fixed_seed():
 
 
 def test_nmf_rejects_negative_input():
-    with pytest.raises(ValueError, match="nonnegative"):
-        nmf_factorize(np.array([[1.0, -0.1]]), 1, 5, seed=0)
+    a = np.random.default_rng(15).random((5, 4))
+    for fn in (nmf_factorize, nmf_objective_trace):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(np.array([[1.0, -0.1]]), 1, 5, seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            fn(a, 0, 3, seed=0)
+        for iterations in (0, -1):
+            with pytest.raises(ValueError, match="iterations must be"):
+                fn(a, 2, iterations, seed=0)
 
 
 def test_nmf_objective_monotone():
