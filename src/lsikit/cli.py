@@ -243,6 +243,7 @@ def cmd_index(args, parser):
                 "conviter": trace.conviter,
                 "converged": trace.converged,
                 "ps_percent": trace.ps_percent,
+                "changed": list(trace.changed),
             }
             _write_json(stager.path("trace.json"), trace_payload)
             meta.update(trace_payload)

@@ -31,29 +31,42 @@ def _parse_banner(line: str):
     return layout
 
 
+# Entries per write of a dense array body.
+_WRITE_CHUNK = 1 << 16
+
+
 def write_matrix(path, m, comment: str = "") -> None:
     """Write a sparse matrix as coordinate MM or a dense array as array MM."""
-    lines = []
     if isinstance(m, SparseMatrix):
-        lines.append(SPARSE_BANNER)
-        if comment:
-            lines.extend("%" + c for c in comment.splitlines())
-        lines.append(f"{m.rows} {m.cols} {m.nnz}")
-        for r, c, v in zip(m.row, m.col, m.data):
-            lines.append(f"{r + 1} {c + 1} {float(v)!r}")
+        banner, size = SPARSE_BANNER, f"{m.rows} {m.cols} {m.nnz}"
+        body = ["".join(f"{r + 1} {c + 1} {float(v)!r}\n"
+                        for r, c, v in zip(m.row, m.col, m.data)).encode("ascii")]
     else:
         a = np.asarray(m, dtype=float)
         if a.ndim != 2:
             raise ValueError("expected a 2-D matrix")
-        lines.append(DENSE_BANNER)
-        if comment:
-            lines.extend("%" + c for c in comment.splitlines())
-        lines.append(f"{a.shape[0]} {a.shape[1]}")
-        # array format stores entries in column-major order
-        for v in a.T.ravel():
-            lines.append(repr(float(v)))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        banner, size = DENSE_BANNER, f"{a.shape[0]} {a.shape[1]}"
+        body = _array_body(a)
+    head = [banner, *("%" + c for c in comment.splitlines()), size]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("ascii"))
+        fh.writelines(body)
+
+
+def _array_body(a):
+    """Entries in column-major order, one repr per line, as byte chunks.
+
+    Each distinct bit pattern is formatted once, which keeps -0.0, NaN
+    and inf exact; lines are looked up in a fixed-width table whose NUL
+    padding is stripped from each chunk.
+    """
+    keys, where = np.unique(np.ascontiguousarray(a.T).reshape(-1).view(np.int64),
+                            return_inverse=True)
+    text = [repr(float(v)) + "\n" for v in keys.view(np.float64)]
+    table = np.array(text, dtype=f"S{max(map(len, text), default=1)}")
+    where = where.reshape(-1)
+    for lo in range(0, where.size, _WRITE_CHUNK):
+        yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().replace(b"\0", b"")
 
 
 def read_matrix(path):

@@ -45,8 +45,13 @@ def score_query(q, index):
     by ascending column.  Zero-norm columns score 0; an all-zero query
     is rejected (it matched no vocabulary term).
     """
-    qv = np.asarray(q, dtype=float).ravel()
     a = as_dense(index)
+    return _ranked(q, a, np.linalg.norm(a, axis=0))
+
+
+def _ranked(q, a, col_norms):
+    """:func:`score_query` with the index's column norms precomputed."""
+    qv = np.asarray(q, dtype=float).ravel()
     if qv.shape[0] != a.shape[0]:
         raise ValueError(
             f"query has {qv.shape[0]} terms but index has {a.shape[0]} rows"
@@ -54,7 +59,6 @@ def score_query(q, index):
     qn = np.linalg.norm(qv)
     if qn == 0:
         raise ValueError("query vector is zero: no terms matched the vocabulary")
-    col_norms = np.linalg.norm(a, axis=0)
     raw = qv @ a
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(col_norms > 0, raw / (qn * np.where(col_norms > 0, col_norms, 1.0)), 0.0)
@@ -131,6 +135,7 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
         raise ValueError("query id count does not match query rows")
     if len(doc_ids) != n_docs:
         raise ValueError("document id count does not match index columns")
+    col_norms = np.linalg.norm(a, axis=0)
     per_query = []
     skipped = []
     for qid, row in zip(query_ids, qm):
@@ -143,7 +148,7 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
             warnings.warn(f"query {qid} is empty; skipped", stacklevel=2)
             skipped.append(qid)
             continue
-        ranking = [doc_ids[j] for j, _ in score_query(row, a)]
+        ranking = [doc_ids[j] for j, _ in _ranked(row, a, col_norms)]
         per_query.append((qid, interpolated_avg_precision(ranking, relevant, points)))
     mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
     return EvalReport(tuple(per_query), mean, points, tuple(skipped), dict(meta or {}))

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own code paths: plain loops,
 LAPACK via numpy, direct evaluation of the unrolled propagation
-chains, and cyclic Jacobi solvers independent of the LAPACK the
-library calls."""
+chains, cyclic Jacobi solvers independent of the LAPACK the library
+calls, the full per-row completion step and its fixpoint loop, and a
+per-element Matrix Market array writer."""
 
 import numpy as np
+
+from lsikit.lsi import CompletionTrace, perfect_pair_percentage, word_similarity
+from lsikit.matrix import as_dense, frobenius_norm
 
 
 def cosine_rows_oracle(a):
@@ -126,3 +130,56 @@ def jacobi_svd_oracle(a, max_sweeps=60):
         if values[j] > 0:
             u[:, j] = w[:, j] / values[j]
     return (values, v, u) if transposed else (values, u, v)
+
+
+def completion_step_oracle(current, s):
+    """Full snapshot completion step: for every row, the similarity-
+    weighted maximum over all stored neighbours."""
+    cur = as_dense(current)
+    out = cur.copy()
+    indptr, indices, data = s.matrix.indptr, s.matrix.indices, s.matrix.data
+    for i in range(s.dim):
+        lo, hi = indptr[i], indptr[i + 1]
+        if lo == hi:
+            continue
+        candidates = data[lo:hi, None] * cur[indices[lo:hi], :]
+        np.maximum(out[i], candidates.max(axis=0), out=out[i])
+    return out
+
+
+def complete_oracle(initial, maxiter=100, stable_window=3):
+    """Fixpoint loop of full steps with the stability window; records
+    ``count_nonzero(next != cur)`` for every step."""
+    a = as_dense(initial).copy()
+    sim = word_similarity(initial)
+    norms = [frobenius_norm(a)]
+    counts = []
+    stable = 0
+    first_stable = None
+    converged = False
+    for n in range(1, maxiter + 1):
+        nxt = completion_step_oracle(a, sim)
+        norms.append(frobenius_norm(nxt))
+        counts.append(int(np.count_nonzero(nxt != a)))
+        if np.array_equal(nxt, a):
+            if stable == 0:
+                first_stable = n
+            stable += 1
+            if stable >= stable_window:
+                converged = True
+                break
+        else:
+            stable = 0
+            first_stable = None
+            a = nxt
+    conviter = first_stable if first_stable is not None else maxiter
+    trace = CompletionTrace(tuple(norms), conviter, converged,
+                            perfect_pair_percentage(sim), tuple(counts))
+    return a, trace
+
+
+def dense_mm_oracle(a):
+    """Matrix Market array text with every entry formatted on its own."""
+    lines = ["%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
+    lines.extend(repr(float(v)) for v in a.T.ravel())
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -140,7 +140,9 @@ def test_index_complete_emits_trace(tmp_path):
                "--out", str(out), "--quiet"])
     assert rc == 0
     trace = json.loads((out / "trace.json").read_text())
-    assert set(trace) == {"norms", "conviter", "converged", "ps_percent"}
+    assert set(trace) == {"norms", "conviter", "converged", "ps_percent", "changed"}
+    assert len(trace["changed"]) == len(trace["norms"]) - 1
+    assert trace["changed"][-1] == 0
     assert trace["converged"] is True
     assert trace["norms"] == sorted(trace["norms"])
     completed = read_matrix(out / "index.mtx")

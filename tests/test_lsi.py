@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsikit import lsi
 from lsikit.lsi import (
     CompletionTrace,
     complete,
@@ -16,6 +17,7 @@ from conftest import POLYSEMY, SYNONYMY
 
 
 from oracle_utils import chain_oracle as _chain_oracle
+from oracle_utils import complete_oracle, completion_step_oracle
 from oracle_utils import cosine_rows_oracle as _cosine_rows_oracle
 
 
@@ -60,6 +62,12 @@ def test_similarity_zero_row_flagged_not_fatal():
 def test_similarity_rejects_negative_input():
     with pytest.raises(ValueError, match="nonnegative"):
         word_similarity(np.array([[1.0, -1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_similarity_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        word_similarity(np.array([[1.0, bad], [0.5, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +210,14 @@ def test_complete_validates_arguments():
         complete(np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_complete_rejects_non_finite_input(bad):
+    # NaN used to pass the sign check and run to maxiter with NaN norms
+    a = np.array([[1.0, 0.0], [1.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        complete(a)
+
+
 def test_trace_rejects_decreasing_norms():
     with pytest.raises(ValueError, match="non-decreasing"):
         CompletionTrace((2.0, 1.0), 1, True, 0.0)
@@ -223,3 +239,164 @@ def test_ps_one_perfect_pair_of_three():
 
 def test_ps_single_row_is_zero():
     assert perfect_pair_percentage(word_similarity(np.array([[1.0, 2.0]]))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# semi-naive steps against the full per-row step and loop
+
+DIFF_SEED = 20261018
+DIFF_TRIALS = 200
+INPUT_KINDS = ("sparse", "dense", "rounded", "zero_rows", "negative_zero")
+
+
+def _random_input(rng, kind):
+    m, n = int(rng.integers(2, 26)), int(rng.integers(1, 16))
+    density = rng.uniform(0.85, 1.0) if kind == "dense" else rng.uniform(0.05, 0.4)
+    a = np.where(rng.random((m, n)) < density, rng.random((m, n)), 0.0)
+    if kind == "rounded":
+        # few distinct values: tied candidates, repeated and parallel rows
+        a = np.round(a * 3.0) / 2.0
+        a[rng.integers(0, m)] = a[rng.integers(0, m)] * 2.0
+    if kind == "zero_rows":
+        a[rng.random(m) < 0.3] = 0.0
+    if kind == "negative_zero":
+        a[(a == 0.0) & (rng.random((m, n)) < 0.7)] = -0.0
+    return a
+
+
+def _trials():
+    rng = np.random.default_rng(DIFF_SEED)
+    for t in range(DIFF_TRIALS):
+        a = _random_input(rng, INPUT_KINDS[t % len(INPUT_KINDS)])
+        maxiter = int(rng.integers(1, 3)) if t % 9 == 0 else 100
+        yield a, maxiter, 1 + t % 4
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = {"_scatter": 0, "_dense_block": 0}
+    for name in calls:
+        inner = getattr(lsi, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(lsi, name, counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:.*zero rows")
+def test_complete_equals_full_step_loop_bitwise(kernel_calls):
+    capped = 0
+    for a, maxiter, window in _trials():
+        got, trace = complete(a, maxiter=maxiter, stable_window=window)
+        # zeros come back as +0.0: bytes match the loop on the
+        # canonical input, values and trace match it on the raw input
+        want, _ = complete_oracle(a + 0.0, maxiter, window)
+        raw, raw_trace = complete_oracle(a, maxiter, window)
+        _assert_same_bytes(got, want)
+        np.testing.assert_array_equal(got, raw)
+        assert trace == raw_trace
+        assert not np.any(np.signbit(got) & (got == 0))
+        capped += not trace.converged
+    assert capped > 0
+    assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
+
+
+@pytest.mark.parametrize("push_cost,chunk", [(None, None), (0, 3), (10**9, None)])
+@pytest.mark.filterwarnings("ignore:.*zero rows")
+def test_step_with_and_without_mask_equals_full_step(monkeypatch, push_cost, chunk):
+    # push_cost 0 forces the scatter (here in chunks of 3 pushes),
+    # 10**9 the dense block
+    if push_cost is not None:
+        monkeypatch.setattr(lsi, "_PUSH_COST", push_cost)
+    if chunk is not None:
+        monkeypatch.setattr(lsi, "_SCATTER_CHUNK", chunk)
+    for a, _, _ in _trials():
+        s = word_similarity(a)
+        prev = a + 0.0
+        _assert_same_bytes(completion_step(a, s), completion_step_oracle(prev, s))
+        np.testing.assert_array_equal(completion_step(a, s), completion_step_oracle(a, s))
+        # pushing every entry, zeros included, is exact too
+        _assert_same_bytes(completion_step(a, s, changed=np.ones(a.shape, dtype=bool)),
+                           completion_step_oracle(prev, s))
+        cur = completion_step_oracle(prev, s)
+        _assert_same_bytes(completion_step(cur, s, changed=cur != prev),
+                           completion_step_oracle(cur, s))
+        idle = completion_step(cur, s, changed=np.zeros(cur.shape, dtype=bool))
+        _assert_same_bytes(idle, cur)
+
+
+def test_complete_norm_collision_matches_full_step_loop():
+    for a in (np.array([[1e9, 0.0], [1e9, 2.0]]),
+              np.array([[1e9, 0.0, 3.0], [1e9, 2.0, 0.0], [0.0, 1.0, 1e-3]])):
+        got, trace = complete(a)
+        want, want_trace = complete_oracle(a)
+        _assert_same_bytes(got, want)
+        assert trace == want_trace
+        assert trace.norms[1] == trace.norms[0] and trace.changed[0] > 0
+
+
+def _zipf_matrix(seed, words=1400, docs=1000):
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, words + 1) ** 0.9
+    p /= p.sum()
+    counts = np.zeros((words, docs))
+    for j in range(docs):
+        np.add.at(counts[:, j], rng.choice(words, size=int(rng.integers(4, 12)), p=p), 1.0)
+    return np.log1p(counts[counts.any(axis=1)])
+
+
+def test_complete_zipf_medline_size_equals_full_step_loop(kernel_calls):
+    a = _zipf_matrix(0)
+    assert 1000 <= a.shape[0] <= 1200 and a.shape[1] == 1000
+    got, trace = complete(a)
+    want, want_trace = complete_oracle(a)
+    _assert_same_bytes(got, want)
+    assert trace == want_trace
+    assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
+
+
+def test_step_rejects_mask_of_wrong_shape():
+    s = word_similarity(np.eye(3))
+    with pytest.raises(ValueError, match="mask"):
+        completion_step(np.eye(3), s, changed=np.ones((3, 2), dtype=bool))
+
+
+def test_trace_changed_counts_match_full_step_loop():
+    for a in (SYNONYMY, POLYSEMY, np.diag([1.0, 2.0, 3.0])):
+        _, trace = complete(a, stable_window=2)
+        _, want = complete_oracle(a, stable_window=2)
+        assert trace.changed == want.changed
+        assert len(trace.changed) == len(trace.norms) - 1
+        assert trace.changed[-2:] == (0, 0)   # the idle confirmation steps
+        assert all(c > 0 for c in trace.changed[:-2])
+
+
+def test_trace_changed_defaults_empty_and_is_checked():
+    assert CompletionTrace((1.0, 1.0), 1, True, 0.0).changed == ()
+    with pytest.raises(ValueError, match="one changed-entry count"):
+        CompletionTrace((1.0, 1.0), 1, True, 0.0, (0, 0))
+
+
+def test_complete_calls_step_once_per_iteration(monkeypatch):
+    calls = []
+    inner = lsi.completion_step
+
+    def counted(current, s, *, changed=None):
+        out = inner(current, s, changed=changed)
+        calls.append(out is current or np.shares_memory(out, current))
+        return out
+
+    monkeypatch.setattr(lsi, "completion_step", counted)
+    for a in (SYNONYMY, POLYSEMY, np.diag([1.0, 2.0])):
+        calls.clear()
+        _, trace = complete(a)
+        assert len(calls) == len(trace.norms) - 1
+        assert not any(calls)

@@ -6,6 +6,8 @@ import pytest
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_banner, read_matrix, write_matrix
 
+from oracle_utils import dense_mm_oracle
+
 
 def test_sparse_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
@@ -83,3 +85,41 @@ def test_rejects_truncated_body(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")
     with pytest.raises(ValueError, match="tokens"):
         read_matrix(path)
+
+
+def _dense_cases():
+    rng = np.random.default_rng(7)
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    special = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                        [2.2250738585072014e-308, -1e-310, nan_payload[0]],
+                        [nan_payload[1], 1e300, -0.0]])
+    rounded = np.round(rng.standard_normal((40, 30)), 1)
+    yield "random", rng.standard_normal((17, 9)) * np.exp(rng.uniform(-30, 30, (17, 9)))
+    yield "all_distinct", rng.random((25, 40))
+    yield "repeated", rounded
+    yield "fortran_order", np.asfortranarray(rounded)
+    yield "strided", rounded[::3, 1::2]
+    yield "special", special
+    yield "subnormal", np.array([[5e-324, 1e-320], [-2.5e-310, 2.2250738585072009e-308]])
+    yield "one_by_one", np.array([[-0.0]])
+    yield "zero_rows", np.zeros((0, 4))
+    yield "zero_cols", np.zeros((3, 0))
+
+
+@pytest.mark.parametrize("name,a", list(_dense_cases()), ids=[n for n, _ in _dense_cases()])
+def test_dense_write_bytes_match_per_entry_writer(tmp_path, name, a):
+    path = tmp_path / f"{name}.mtx"
+    write_matrix(path, a)
+    assert path.read_bytes() == dense_mm_oracle(a)
+    back = read_matrix(path)
+    assert back.shape == a.shape
+    if not np.isnan(a).any():
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
+        np.testing.assert_array_equal(back, a)
+
+
+def test_dense_write_keeps_comments(tmp_path):
+    path = tmp_path / "c.mtx"
+    write_matrix(path, np.eye(2), comment="line one\nline two")
+    assert path.read_text().splitlines()[:4] == [
+        DENSE_BANNER, "%line one", "%line two", "2 2"]

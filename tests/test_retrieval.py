@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lsikit import retrieval
 from lsikit.matrix import rank_k_reconstruct, truncated_svd
 from lsikit.retrieval import (
     evaluate,
@@ -252,3 +253,38 @@ def test_evaluate_respects_custom_doc_ids():
 def test_evaluate_dimension_mismatch_names_axis():
     with pytest.raises(ValueError, match="terms"):
         evaluate(np.ones((1, 3)), np.eye(2), {1: {1}})
+
+
+def test_evaluate_rankings_equal_per_query_score_query(monkeypatch):
+    rng = np.random.default_rng(11)
+    index = np.where(rng.random((30, 40)) < 0.3, np.round(rng.random((30, 40)), 1), 0.0)
+    index[:, 5] = 0.0                       # a zero-norm document
+    index[:, 7] = index[:, 3] * 2.0         # a tie with document 3
+    queries = np.where(rng.random((12, 30)) < 0.2, 1.0, 0.0)
+    queries[4] = 0.0                        # skipped: empty
+    doc_ids = list(range(101, 141))
+    judgments = {q: {101 + int(d) for d in rng.choice(40, 3, replace=False)}
+                 for q in range(1, 13)}
+    seen = []
+    inner = retrieval.interpolated_avg_precision
+    norms_seen = []
+    ranked = retrieval._ranked
+
+    def record_ranking(ranking, relevant, points=11):
+        seen.append(list(ranking))
+        return inner(ranking, relevant, points)
+
+    def record_norms(q, a, col_norms):
+        norms_seen.append(col_norms)
+        return ranked(q, a, col_norms)
+
+    monkeypatch.setattr(retrieval, "interpolated_avg_precision", record_ranking)
+    monkeypatch.setattr(retrieval, "_ranked", record_norms)
+    with pytest.warns(UserWarning, match="empty"):
+        report = evaluate(queries, index, judgments, doc_ids=doc_ids)
+    evaluated = [q for q, _ in report.per_query]
+    assert len(seen) == len(evaluated) == len(norms_seen) == 11
+    # one column-norm vector for the whole index
+    assert all(n is norms_seen[0] for n in norms_seen)
+    for qid, ranking in zip(evaluated, seen):
+        assert ranking == [doc_ids[j] for j, _ in score_query(queries[qid - 1], index)]
