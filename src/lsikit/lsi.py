@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
 
 from .matrix import SparseMatrix, as_dense, frobenius_norm
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 PERFECT_SIMILARITY = 1.0 - 1e-12
 
@@ -95,6 +98,8 @@ def word_similarity(a) -> SimilarityMatrix:
     Zero rows are flagged (with a warning) rather than rejected; their
     similarities are defined as zero.
     """
+    from scipy import sparse as sp  # here, so importing lsikit stays cheap
+
     if isinstance(a, SparseMatrix):
         csr = a.tocsr()
     else:
@@ -255,6 +260,8 @@ def complete(initial, maxiter: int = 100, stable_window: int = 3):
 
 def perfect_pair_percentage(s: SimilarityMatrix) -> float:
     """Percentage of unordered word pairs whose cosine is (numerically) 1."""
+    from scipy import sparse as sp
+
     total = s.dim * (s.dim - 1) // 2
     if total == 0:
         return 0.0

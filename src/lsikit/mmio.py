@@ -9,6 +9,8 @@ real/integer field and general symmetry.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .matrix import SparseMatrix
@@ -73,7 +75,9 @@ def read_matrix(path):
     """Read a Matrix Market file.
 
     Coordinate files return a :class:`SparseMatrix`; array files return
-    a dense ``numpy.ndarray``.
+    a dense ``numpy.ndarray``, parsed by numpy in one pass.  Values are
+    decimal or ``inf``/``nan`` tokens separated by whitespace; a token
+    numpy cannot parse whole, such as ``1_0``, raises ``ValueError``.
     """
     with open(path, "r", encoding="ascii") as fh:
         banner = fh.readline()
@@ -87,8 +91,9 @@ def read_matrix(path):
             break
         if size_line is None:
             raise ValueError("missing size line")
-        body = fh.read().split()
+        rest = fh.read()
     if layout == "coordinate":
+        body = rest.split()
         dims = size_line.split()
         if len(dims) != 3:
             raise ValueError(f"bad coordinate size line: {size_line!r}")
@@ -103,9 +108,18 @@ def read_matrix(path):
     if len(dims) != 2:
         raise ValueError(f"bad array size line: {size_line!r}")
     rows, cols = (int(x) for x in dims)
-    if len(body) != rows * cols:
-        raise ValueError(f"expected {rows * cols} tokens, found {len(body)}")
-    return np.array(body, dtype=np.float64).reshape((cols, rows)).T
+    if rest.isspace():
+        rest = ""  # numpy parses an all-blank string as [-1.0]
+    with warnings.catch_warnings():
+        # older numpy stops at an unparsable token with only a warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(rest, dtype=np.float64, sep=" ")
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+    if values.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} tokens, found {values.size}")
+    return values.reshape((cols, rows)).T
 
 
 def read_banner(path) -> str:

@@ -46,32 +46,75 @@ def score_query(q, index):
     is rejected (it matched no vocabulary term).
     """
     a = as_dense(index)
-    return _ranked(q, a, np.linalg.norm(a, axis=0))
-
-
-def _ranked(q, a, col_norms):
-    """:func:`score_query` with the index's column norms precomputed."""
     qv = np.asarray(q, dtype=float).ravel()
-    if qv.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"query has {qv.shape[0]} terms but index has {a.shape[0]} rows"
-        )
+    qn = _query_norm(qv, a.shape[0])
+    scores, order = _rank([qv], np.array([qn]), a, np.linalg.norm(a, axis=0))
+    return [(int(j), float(scores[0, j])) for j in order[0]]
+
+
+def _query_norm(qv, terms):
+    """Euclidean norm of a query row, rejecting a wrong length or a zero norm."""
+    if qv.shape[0] != terms:
+        raise ValueError(f"query has {qv.shape[0]} terms but index has {terms} rows")
     qn = np.linalg.norm(qv)
     if qn == 0:
         raise ValueError("query vector is zero: no terms matched the vocabulary")
-    raw = qv @ a
+    return qn
+
+
+def _rank(rows, q_norms, a, col_norms):
+    """Cosine scores (Q x N) of query rows against the columns of ``a``
+    and each row's ranking: column indices by descending score, ties by
+    ascending column.
+
+    Each query keeps its own matrix-vector product: one Q x M by M x N
+    product changes the last bits of some scores, and nearly tied
+    low-rank cosines then swap places.
+    """
+    raw = np.empty((len(rows), a.shape[1]))
+    for i, row in enumerate(rows):
+        raw[i] = row @ a
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(col_norms > 0, raw / (qn * np.where(col_norms > 0, col_norms, 1.0)), 0.0)
-    order = np.lexsort((np.arange(a.shape[1]), -scores))
-    return [(int(j), float(scores[j])) for j in order]
+        scores = np.where(col_norms > 0,
+                          raw / (q_norms[:, None] * np.where(col_norms > 0, col_norms, 1.0)),
+                          0.0)
+    return scores, np.argsort(-scores, axis=1, kind="stable")
 
 
-def _precision_curve(ranking, relevant):
-    rel = set(relevant)
-    hits = np.fromiter((1 if doc in rel else 0 for doc in ranking), dtype=np.int64)
-    r = np.cumsum(hits)
-    n = np.arange(1, len(ranking) + 1)
-    return r, r / n
+def _relevance(doc_ids, relevant_sets):
+    """Q x N booleans: is ``doc_ids[j]`` in query q's relevant set."""
+    columns = {}
+    for j, doc in enumerate(doc_ids):
+        columns.setdefault(doc, []).append(j)
+    rel = np.zeros((len(relevant_sets), len(doc_ids)), dtype=bool)
+    for i, relevant in enumerate(relevant_sets):
+        rel[i, [j for doc in set(relevant) for j in columns.get(doc, ())]] = True
+    return rel
+
+
+def _curve(hits):
+    """Relevant documents found, and precision, at every cutoff of each
+    row of a rank-ordered relevance matrix."""
+    r = np.cumsum(hits, axis=1, dtype=np.int64)
+    return r, r / np.arange(1, hits.shape[1] + 1)
+
+
+def _best_precision(p, reached):
+    """Per row, the largest precision among reached cutoffs, else 0."""
+    return np.where(reached, p, 0.0).max(axis=1, initial=0.0)
+
+
+def _avg_precision(hits, r_totals, points):
+    """Interpolated average precision of each row of ``hits``, whose
+    query has ``r_totals[q]`` relevant documents; see
+    :func:`interpolated_avg_precision`."""
+    r, p = _curve(hits)
+    r_total = np.array(r_totals, dtype=np.int64)[:, None]
+    steps = points - 1
+    acc = np.zeros(hits.shape[0])
+    for level in range(points):
+        acc += _best_precision(p, level * r_total <= r * steps)
+    return acc / points
 
 
 def pseudo_precision(ranking, relevant, x: float) -> float:
@@ -84,9 +127,8 @@ def pseudo_precision(ranking, relevant, x: float) -> float:
         raise ValueError("relevant set must be nonempty")
     if not 0.0 <= x <= 1.0:
         raise ValueError("recall level must lie in [0, 1]")
-    r, p = _precision_curve(ranking, relevant)
-    reachable = p[r / len(relevant) >= x] if len(r) else p[:0]
-    return float(reachable.max()) if reachable.size else 0.0
+    r, p = _curve(_relevance(ranking, [relevant]))
+    return float(_best_precision(p, r / len(relevant) >= x)[0])
 
 
 def interpolated_avg_precision(ranking, relevant, points: int = 11) -> float:
@@ -99,15 +141,7 @@ def interpolated_avg_precision(ranking, relevant, points: int = 11) -> float:
         raise ValueError("points must be at least 2")
     if not relevant:
         raise ValueError("relevant set must be nonempty")
-    r, p = _precision_curve(ranking, relevant)
-    r_total = len(relevant)
-    steps = points - 1
-    acc = 0.0
-    for level in range(points):
-        mask = level * r_total <= r * steps
-        hit = p[mask]
-        acc += float(hit.max()) if hit.size else 0.0
-    return acc / points
+    return float(_avg_precision(_relevance(ranking, [relevant]), [len(relevant)], points)[0])
 
 
 def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
@@ -118,7 +152,9 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
     query id to its set of relevant document ids.  Queries without
     judgments, or with empty rows, are skipped with a warning and do not
     enter the mean.  Query and document ids default to 1-based
-    positions.
+    positions.  All evaluated queries are scored, ranked and averaged
+    together, with the same results as :func:`score_query` and
+    :func:`interpolated_avg_precision` one query at a time.
     """
     qm = np.atleast_2d(np.asarray(queries, dtype=float))
     a = as_dense(index)
@@ -135,8 +171,7 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
         raise ValueError("query id count does not match query rows")
     if len(doc_ids) != n_docs:
         raise ValueError("document id count does not match index columns")
-    col_norms = np.linalg.norm(a, axis=0)
-    per_query = []
+    kept, rows, q_norms, relevant_sets = [], [], [], []
     skipped = []
     for qid, row in zip(query_ids, qm):
         relevant = judgments.get(qid)
@@ -148,7 +183,15 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
             warnings.warn(f"query {qid} is empty; skipped", stacklevel=2)
             skipped.append(qid)
             continue
-        ranking = [doc_ids[j] for j, _ in _ranked(row, a, col_norms)]
-        per_query.append((qid, interpolated_avg_precision(ranking, relevant, points)))
+        q_norms.append(_query_norm(row, a.shape[0]))
+        if points < 2:
+            raise ValueError("points must be at least 2")
+        kept.append(qid)
+        rows.append(row)
+        relevant_sets.append(relevant)
+    _, order = _rank(rows, np.array(q_norms), a, np.linalg.norm(a, axis=0))
+    hits = np.take_along_axis(_relevance(doc_ids, relevant_sets), order, axis=1)
+    avgp = _avg_precision(hits, [len(r) for r in relevant_sets], points)
+    per_query = [(qid, float(v)) for qid, v in zip(kept, avgp)]
     mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
     return EvalReport(tuple(per_query), mean, points, tuple(skipped), dict(meta or {}))

@@ -3,8 +3,11 @@
 These deliberately avoid the library's own code paths: plain loops,
 LAPACK via numpy, direct evaluation of the unrolled propagation
 chains, cyclic Jacobi solvers independent of the LAPACK the library
-calls, the full per-row completion step and its fixpoint loop, and a
-per-element Matrix Market array writer."""
+calls, the full per-row completion step and its fixpoint loop, a
+per-element Matrix Market array writer and reader, and per-query
+retrieval evaluation."""
+
+import warnings
 
 import numpy as np
 
@@ -183,3 +186,72 @@ def dense_mm_oracle(a):
     lines = ["%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
     lines.extend(repr(float(v)) for v in a.T.ravel())
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def dense_mm_read_oracle(path):
+    """Array Matrix Market file parsed one Python ``float`` token at a
+    time, after the banner, comments and size line."""
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
+        size_line = next(line for line in fh if line.strip() and not line.lstrip().startswith("%"))
+        tokens = fh.read().split()
+    rows, cols = (int(x) for x in size_line.split())
+    if len(tokens) != rows * cols:
+        raise ValueError(f"expected {rows * cols} tokens, found {len(tokens)}")
+    return np.array(tokens, dtype=np.float64).reshape((cols, rows)).T
+
+
+def _ranked_oracle(qv, a, col_norms):
+    qn = np.linalg.norm(qv)
+    if qn == 0:
+        raise ValueError("query vector is zero: no terms matched the vocabulary")
+    raw = qv @ a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(col_norms > 0, raw / (qn * np.where(col_norms > 0, col_norms, 1.0)), 0.0)
+    return np.lexsort((np.arange(a.shape[1]), -scores))
+
+
+def iap_loop_oracle(ranking, relevant, points):
+    """Interpolated average precision from a membership-test precision
+    curve, one recall level at a time with the integer level test."""
+    if points < 2:
+        raise ValueError("points must be at least 2")
+    rel = set(relevant)
+    hits = np.fromiter((1 if doc in rel else 0 for doc in ranking), dtype=np.int64)
+    r = np.cumsum(hits)
+    p = r / np.arange(1, len(ranking) + 1)
+    r_total = len(relevant)
+    steps = points - 1
+    acc = 0.0
+    for level in range(points):
+        hit = p[level * r_total <= r * steps]
+        acc += float(hit.max()) if hit.size else 0.0
+    return acc / points
+
+
+def evaluate_oracle(queries, index, judgments, points=11, query_ids=None, doc_ids=None):
+    """Per-query loop: rank each kept query with its own lexsort, then
+    average its precision curve; returns ``(per_query, mean, skipped)``."""
+    qm = np.atleast_2d(np.asarray(queries, dtype=float))
+    a = as_dense(index)
+    if query_ids is None:
+        query_ids = list(range(1, qm.shape[0] + 1))
+    if doc_ids is None:
+        doc_ids = list(range(1, a.shape[1] + 1))
+    col_norms = np.linalg.norm(a, axis=0)
+    per_query = []
+    skipped = []
+    for qid, row in zip(query_ids, qm):
+        relevant = judgments.get(qid)
+        if not relevant:
+            warnings.warn(f"query {qid} has no relevance judgments; skipped", stacklevel=2)
+            skipped.append(qid)
+            continue
+        if not row.any():
+            warnings.warn(f"query {qid} is empty; skipped", stacklevel=2)
+            skipped.append(qid)
+            continue
+        ranking = [doc_ids[j] for j in _ranked_oracle(row, a, col_norms)]
+        per_query.append((qid, iap_loop_oracle(ranking, relevant, points)))
+    mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
+    return tuple(per_query), mean, tuple(skipped)

@@ -1,10 +1,15 @@
 """End-to-end command-line runs on a small synthetic SMART corpus."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsikit
 from lsikit.cli import main
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import read_matrix, write_matrix
@@ -298,3 +303,15 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     stats2 = json.loads((out2 / "stats.json").read_text())
     assert stats2["min_length"] == 2
     assert stats1["config_hash"] != stats2["config_hash"]
+
+
+def test_importing_cli_leaves_scipy_unloaded():
+    # scipy is imported where a sparse kernel first runs, so other commands start faster
+    src = str(Path(lsikit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lsikit.cli; print('scipy' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

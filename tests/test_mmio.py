@@ -6,7 +6,7 @@ import pytest
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_banner, read_matrix, write_matrix
 
-from oracle_utils import dense_mm_oracle
+from oracle_utils import dense_mm_oracle, dense_mm_read_oracle
 
 
 def test_sparse_roundtrip_bitwise(tmp_path):
@@ -123,3 +123,57 @@ def test_dense_write_keeps_comments(tmp_path):
     write_matrix(path, np.eye(2), comment="line one\nline two")
     assert path.read_text().splitlines()[:4] == [
         DENSE_BANNER, "%line one", "%line two", "2 2"]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name,a", list(_dense_cases()), ids=[n for n, _ in _dense_cases()])
+def test_dense_read_bits_match_per_token_reader(tmp_path, name, a):
+    path = tmp_path / f"{name}.mtx"
+    write_matrix(path, a)
+    _same_bits(read_matrix(path), dense_mm_read_oracle(path))
+
+
+# Bodies after the banner line, read in text mode (CRLF becomes LF).
+_DENSE_LAYOUTS = {
+    "tabs": "2 2\n1\t2\n3\t\t4\n",
+    "crlf": "2 2\r\n1\r\n-2.5\r\n3\r\n4\r\n",
+    "several_per_line": "2 3\n1 2 3\n4 5 6\n",
+    "blank_lines": "2 2\n\n1\n\n\n2\n3\n   \n4\n\n",
+    "no_final_newline": "1 2\n-0.0 5e-324",
+    "comments_before_size": "% one\n%\n\n2 1\n inf\n-inf\n",
+    "specials": "1 6\nnan NaN -inf Infinity +1.5 .5e-3\n",
+    "one_by_one": "1 1\n7\n",
+    "zero_rows_no_body": "0 3\n",
+    "zero_cols_blank_body": "3 0\n\n  \n",
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSE_LAYOUTS))
+def test_dense_read_layouts_match_per_token_reader(tmp_path, name):
+    path = tmp_path / f"{name}.mtx"
+    path.write_bytes((DENSE_BANNER + "\r\n" + _DENSE_LAYOUTS[name]).encode("ascii"))
+    _same_bits(read_matrix(path), dense_mm_read_oracle(path))
+
+
+@pytest.mark.parametrize("body", [
+    "1 1\n1_0\n",            # Python's float() would accept this one
+    "1 1\n1.5.5\n",
+    "1 1\n1e\n",
+    "1 1\n0x10\n",
+    "2 1\n1,2\n",
+    "1 1\n1d5\n",
+    "2 2\n1 2 3 4 junk\n",   # right count before the bad token
+    "2 1\n1\n% late comment\n2\n",
+    "1 1\n   \n",             # blank body: numpy alone would read -1.0
+    "1 1\n",
+    "2 2\n1 2 3\n",
+])
+def test_dense_read_rejects_malformed_tokens(tmp_path, body):
+    path = tmp_path / "bad.mtx"
+    path.write_text(DENSE_BANNER + "\n" + body)
+    with pytest.raises(ValueError):
+        read_matrix(path)

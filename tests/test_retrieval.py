@@ -1,5 +1,6 @@
 """Cosine scoring and interpolated average-precision evaluation."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from lsikit.retrieval import (
     pseudo_precision,
     score_query,
 )
+
+from oracle_utils import evaluate_oracle
 
 from conftest import (
     POLYSEMY,
@@ -265,26 +268,137 @@ def test_evaluate_rankings_equal_per_query_score_query(monkeypatch):
     doc_ids = list(range(101, 141))
     judgments = {q: {101 + int(d) for d in rng.choice(40, 3, replace=False)}
                  for q in range(1, 13)}
-    seen = []
-    inner = retrieval.interpolated_avg_precision
-    norms_seen = []
-    ranked = retrieval._ranked
+    calls = []
+    rank = retrieval._rank
 
-    def record_ranking(ranking, relevant, points=11):
-        seen.append(list(ranking))
-        return inner(ranking, relevant, points)
+    def record(rows, q_norms, a, col_norms):
+        scores, order = rank(rows, q_norms, a, col_norms)
+        calls.append((col_norms, order))
+        return scores, order
 
-    def record_norms(q, a, col_norms):
-        norms_seen.append(col_norms)
-        return ranked(q, a, col_norms)
-
-    monkeypatch.setattr(retrieval, "interpolated_avg_precision", record_ranking)
-    monkeypatch.setattr(retrieval, "_ranked", record_norms)
+    monkeypatch.setattr(retrieval, "_rank", record)
     with pytest.warns(UserWarning, match="empty"):
         report = evaluate(queries, index, judgments, doc_ids=doc_ids)
+    # one column-norm vector for the whole index, all queries ranked at once
+    assert len(calls) == 1
+    col_norms, order = calls[0]
+    np.testing.assert_array_equal(col_norms, np.linalg.norm(index, axis=0))
     evaluated = [q for q, _ in report.per_query]
-    assert len(seen) == len(evaluated) == len(norms_seen) == 11
-    # one column-norm vector for the whole index
-    assert all(n is norms_seen[0] for n in norms_seen)
-    for qid, ranking in zip(evaluated, seen):
-        assert ranking == [doc_ids[j] for j, _ in score_query(queries[qid - 1], index)]
+    assert len(evaluated) == len(order) == 11
+    for (qid, avgp), ranked in zip(report.per_query, order):
+        ranking = [doc_ids[j] for j, _ in score_query(queries[qid - 1], index)]
+        assert [doc_ids[j] for j in ranked] == ranking
+        assert avgp.hex() == interpolated_avg_precision(ranking, judgments[qid]).hex()
+
+
+# ---------------------------------------------------------------------------
+# batched evaluate against the per-query loop, bit for bit
+
+DIFF_SEED = 20261018
+DIFF_TRIALS = 600
+
+
+def _outcome(fn, *args, **kwargs):
+    """``(per_query, mean, skipped)`` with floats as hex, or the
+    ValueError message; plus the warning messages in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except ValueError as exc:
+            return ("ValueError", str(exc)), [str(w.message) for w in caught]
+    if isinstance(result, retrieval.EvalReport):
+        result = (result.per_query, result.mean_avgp, result.skipped)
+    per_query, mean, skipped = result
+    bits = (tuple((q, v.hex()) for q, v in per_query), mean.hex(), skipped)
+    return bits, [str(w.message) for w in caught]
+
+
+def _diff_case(rng):
+    m, n, q = int(rng.integers(1, 10)), int(rng.integers(0, 14)), int(rng.integers(1, 8))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:  # small integers: many exact ties, negative entries
+        index = rng.integers(-2, 4, (m, n)).astype(float)
+    elif kind == 1:
+        index = np.where(rng.random((m, n)) < 0.4, rng.standard_normal((m, n)), 0.0)
+    else:
+        index = np.round(rng.random((m, n)), 1)
+    if n:
+        index[:, rng.integers(n)] = 0.0  # a zero-norm column
+        index[:, rng.integers(n)] = index[:, rng.integers(n)] * rng.choice([1.0, 2.0, 0.5])
+    queries = rng.integers(-1, 3, (q, m)).astype(float)
+    queries[rng.random(q) < 0.15] = 0.0  # empty rows are skipped
+    if rng.random() < 0.03:  # nonzero entries whose norm underflows to zero
+        queries[rng.integers(q)] = np.where(rng.random(m) < 0.5, 1e-200, 0.0)
+    query_ids = None if rng.random() < 0.5 else [int(x) for x in rng.permutation(q) + 10]
+    doc_style = int(rng.integers(0, 4))
+    if doc_style == 0:
+        doc_ids, pool = None, list(range(1, n + 1)) or [1]
+    elif doc_style == 1:  # duplicate doc ids
+        doc_ids = [int(x) for x in rng.integers(0, max(n // 2, 1), n)]
+        pool = list(range(max(n // 2, 1)))
+    elif doc_style == 2:
+        doc_ids = [int(x) for x in rng.permutation(n) * 3]
+        pool = doc_ids or [0]
+    else:
+        doc_ids = [f"d{x}" for x in rng.permutation(n)]
+        pool = doc_ids or ["d0"]
+    judgments = {}
+    for qid in (query_ids or range(1, q + 1)):
+        roll = rng.random()
+        if roll < 0.15:
+            continue  # no judgments: skipped
+        if roll < 0.2:
+            judgments[qid] = set()  # empty judgments: skipped
+            continue
+        size = int(rng.integers(1, len(pool) + 1))
+        relevant = {pool[i] for i in rng.choice(len(pool), size, replace=False)}
+        if rng.random() < 0.3:
+            relevant.add("missing" if doc_style == 3 else -7)  # not in the index
+        judgments[qid] = relevant
+    points = int(rng.integers(1, 13))
+    return queries, index, judgments, points, query_ids, doc_ids
+
+
+def test_evaluate_matches_per_query_loop_bitwise():
+    rng = np.random.default_rng(DIFF_SEED)
+    seen = {"evaluated": 0, "raised": 0, "skipped": 0, "no_docs": 0}
+    for trial in range(DIFF_TRIALS):
+        queries, index, judgments, points, query_ids, doc_ids = _diff_case(rng)
+        kwargs = dict(query_ids=query_ids, doc_ids=doc_ids)
+        mine = _outcome(evaluate, queries, index, judgments, points, **kwargs)
+        want = _outcome(evaluate_oracle, queries, index, judgments, points, **kwargs)
+        assert mine == want, f"trial {trial}"
+        result = mine[0]
+        seen["raised" if result[0] == "ValueError" else "evaluated"] += 1
+        seen["skipped"] += bool(result[0] != "ValueError" and result[2])
+        seen["no_docs"] += index.shape[1] == 0
+    assert min(seen.values()) >= 10, seen
+
+
+def _zipf_collection(seed, words=6000, docs=82, n_queries=35):
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, words + 1) ** 0.9
+    p /= p.sum()
+    counts = np.zeros((words, docs))
+    for j in range(docs):
+        np.add.at(counts[:, j], rng.choice(words, size=int(rng.integers(15, 42)), p=p), 1.0)
+    keep = counts.any(axis=1)
+    a = np.log1p(counts[keep])
+    queries = np.zeros((n_queries, a.shape[0]))
+    for i in range(n_queries):
+        queries[i, rng.choice(a.shape[0], size=int(rng.integers(3, 12)))] = 1.0
+    judgments = {i + 1: {int(d) for d in rng.choice(docs, size=int(rng.integers(1, 9)),
+                                                    replace=False) + 1}
+                 for i in range(n_queries)}
+    return a, queries, judgments
+
+
+def test_evaluate_matches_per_query_loop_over_svd_rank_sweep():
+    a, queries, judgments = _zipf_collection(7)
+    assert a.shape[0] > 1000
+    full = truncated_svd(a, min(a.shape))
+    for k in range(1, 41):
+        approx = (full.left[:, :k] * full.values[:k]) @ full.right[:, :k].T
+        mine = _outcome(evaluate, queries, approx, judgments, 11)
+        assert mine == _outcome(evaluate_oracle, queries, approx, judgments, 11), f"rank {k}"
