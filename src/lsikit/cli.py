@@ -182,6 +182,39 @@ def _sidecar(path, name):
     return candidate if candidate.exists() else None
 
 
+def _sha256(path):
+    # chunked: hashlib.file_digest needs Python 3.11
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _save_binary_index(stager, array, meta):
+    """Save ``array`` as ``index.npy`` beside the staged ``index.mtx`` and
+    record both files' digests in ``meta``.
+
+    The array is saved in Fortran order, the layout ``mmio.read_matrix``
+    returns: a C-ordered copy changes the last bits of ``row @ a``,
+    which can reorder nearly tied cosines in ``eval``.
+    """
+    np.save(stager.path("index.npy"), np.asfortranarray(array), allow_pickle=False)
+    meta["index_sha256"] = _sha256(stager.tmp_dir / "index.mtx")
+    meta["array_sha256"] = _sha256(stager.tmp_dir / "index.npy")
+
+
+def _load_binary_index(index_path, meta):
+    """The ``index.npy`` beside ``index_path`` when both files still match
+    the digests in ``meta``, else None (the caller parses the text)."""
+    array_path = _sidecar(index_path, "index.npy")
+    if (array_path is None or "array_sha256" not in meta
+            or _sha256(index_path) != meta.get("index_sha256")
+            or _sha256(array_path) != meta["array_sha256"]):
+        return None
+    return np.load(array_path, allow_pickle=False)
+
+
 def cmd_index(args, parser):
     config = _read_config(args.config)
     _apply_config(args, parser, config)
@@ -229,7 +262,9 @@ def cmd_index(args, parser):
             factors = SvdFactors(full.left[:, : args.rank],
                                  full.values[: args.rank],
                                  full.right[:, : args.rank])
-            mmio.write_matrix(stager.path("index.mtx"), rank_k_reconstruct(factors))
+            approx = rank_k_reconstruct(factors)
+            mmio.write_matrix(stager.path("index.mtx"), approx)
+            _save_binary_index(stager, approx, meta)
             np.savez(stager.path("svd_factors.npz"), left=full.left,
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
@@ -238,6 +273,7 @@ def cmd_index(args, parser):
             m = mmio.read_matrix(matrix_path)
             completed, trace = lsi_mod.complete(m, args.maxiter, args.stable_window)
             mmio.write_matrix(stager.path("index.mtx"), completed)
+            _save_binary_index(stager, completed, meta)
             trace_payload = {
                 "norms": [float(v) for v in trace.norms],
                 "conviter": trace.conviter,
@@ -262,16 +298,21 @@ def cmd_index(args, parser):
 # eval
 
 
-def _load_eval_inputs(args):
+def _load_eval_inputs(args, index=None):
+    """Index, queries and judgments for ``eval``; ``sweep`` passes the
+    matrix it has already read as ``index``."""
     index_path = Path(args.index)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
-    index = mmio.read_matrix(index_path)
     meta = {}
     meta_path = args.meta or _sidecar(index_path, "index_meta.json")
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+    if index is None:
+        index = _load_binary_index(index_path, meta)
+    if index is None:
+        index = mmio.read_matrix(index_path)
     vocab_path = args.vocab or meta.get("vocabulary") or _sidecar(index_path, "vocabulary.txt")
     if vocab_path is None:
         raise SystemExit("no vocabulary: pass --vocab or keep vocabulary.txt next to the matrix")
@@ -390,8 +431,7 @@ def cmd_sweep(args, parser):
         "seed": args.seed,
     }
     matrix = mmio.read_matrix(args.matrix)
-    dense = as_dense(matrix)
-    _, qmatrix, qids, doc_ids, judgments, _ = _load_eval_inputs(args)
+    dense, qmatrix, qids, doc_ids, judgments, _ = _load_eval_inputs(args, matrix)
     ranks = _parse_ranks(args.ranks)
     if ranks[-1] > min(dense.shape):
         raise SystemExit(f"rank {ranks[-1]} exceeds min(M, N) = {min(dense.shape)}")
@@ -582,7 +622,9 @@ def build_parser():
     index_p.set_defaults(func=cmd_index, parser_ref=index_p)
 
     eval_p = sub.add_parser("eval", help="evaluate queries against an index")
-    eval_p.add_argument("--index", required=True, help="index matrix (Matrix Market)")
+    eval_p.add_argument("--index", required=True,
+                        help="index matrix (Matrix Market); a sibling index.npy "
+                             "matching the metadata's digests is loaded instead")
     eval_p.add_argument("--queries", required=True, help="SMART query file")
     eval_p.add_argument("--qrels", required=True, help="relevance judgments file")
     _add_query_options(eval_p)

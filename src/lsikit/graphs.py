@@ -61,18 +61,25 @@ class AffinityGraph:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        w = as_dense(self.weights)
-        if w.shape[0] != w.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got {w.shape}")
-        if w.size:
-            scale = max(float(np.abs(w).max()), 1.0)
-            if np.abs(w - w.T).max() > _SYM_TOL * scale:
+        w = self.weights
+        if isinstance(w, SparseMatrix):
+            # checked on the triplets: densifying a bipartite embedding
+            # would build an (M+N)^2 buffer
+            shape, values = (w.rows, w.cols), w.data
+        else:
+            w = as_dense(w)
+            shape, values = w.shape, w
+        if shape[0] != shape[1]:
+            raise ValueError(f"affinity matrix must be square, got {shape}")
+        if values.size:
+            scale = max(float(np.abs(values).max()), 1.0)
+            if _asymmetry(w) > _SYM_TOL * scale:
                 raise ValueError("affinity matrix is not symmetric")
-            if w.min() < 0:
+            if values.min() < 0:
                 raise ValueError("affinity matrix must be nonnegative")
         if self.phi is not None:
             phi = np.asarray(self.phi, dtype=float)
-            if phi.shape != (w.shape[0],):
+            if phi.shape != (shape[0],):
                 raise ValueError("phi must be a vector matching the vertex count")
             object.__setattr__(self, "phi", phi)
         elif self.scheme == "gwassoc":
@@ -80,7 +87,16 @@ class AffinityGraph:
 
     @property
     def order(self) -> int:
-        return as_dense(self.weights).shape[0]
+        w = self.weights
+        return w.rows if isinstance(w, SparseMatrix) else as_dense(w).shape[0]
+
+
+def _asymmetry(w) -> float:
+    """max |w - w^T| of a square dense array or :class:`SparseMatrix`."""
+    if isinstance(w, SparseMatrix):
+        csr = w.tocsr()
+        return float(abs(csr - csr.T).max())
+    return float(np.abs(w - w.T).max())
 
 
 @dataclass(frozen=True)

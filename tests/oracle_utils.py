@@ -4,9 +4,10 @@ These deliberately avoid the library's own code paths: plain loops,
 LAPACK via numpy, direct evaluation of the unrolled propagation
 chains, cyclic Jacobi solvers independent of the LAPACK the library
 calls, the full per-row completion step and its fixpoint loop, a
-per-element Matrix Market array writer and reader, and per-query
-retrieval evaluation."""
+label-setting completion closure, a per-element Matrix Market array
+writer and reader, and per-query retrieval evaluation."""
 
+import heapq
 import warnings
 
 import numpy as np
@@ -179,6 +180,39 @@ def complete_oracle(initial, maxiter=100, stable_window=3):
     trace = CompletionTrace(tuple(norms), conviter, converged,
                             perfect_pair_percentage(sim), tuple(counts))
     return a, trace
+
+
+def closure_oracle(initial, s):
+    """Completion fixpoint by label setting, one column at a time
+    (Knuth, "A generalization of Dijkstra's algorithm", IPL 6(1), 1977).
+
+    The largest unsettled entry of a column is settled, then offers
+    s[i, k] * x[k] to each unsettled neighbour i.  For s in [0, 1],
+    fl(s * x) is monotone in x and never exceeds x, so a settled entry
+    is final, and each entry ends as the best similarity path product
+    evaluated right to left, bit for bit.  Shares no step or stopping
+    logic with ``complete``; zeros come back as +0.0.
+    """
+    out = as_dense(initial) + 0.0
+    indptr, indices, data = s.matrix.indptr, s.matrix.indices, s.matrix.data
+    for j in range(out.shape[1]):
+        x = [float(v) for v in out[:, j]]
+        settled = [False] * len(x)
+        heap = [(-v, k) for k, v in enumerate(x) if v > 0]
+        heapq.heapify(heap)
+        while heap:
+            _, k = heapq.heappop(heap)
+            if settled[k]:
+                continue  # a stale offer, superseded by a larger one
+            settled[k] = True
+            for p in range(indptr[k], indptr[k + 1]):
+                i = int(indices[p])
+                offer = float(data[p]) * x[k]
+                if not settled[i] and offer > x[i]:
+                    x[i] = offer
+                    heapq.heappush(heap, (-offer, i))
+        out[:, j] = x
+    return out
 
 
 def dense_mm_oracle(a):

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a small synthetic SMART corpus."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import lsikit
+from lsikit import cli
 from lsikit.cli import main
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import read_matrix, write_matrix
@@ -203,6 +205,119 @@ def test_eval_vocabulary_mismatch_names_axis(corpus_dir, tmp_path):
               "--qrels", str(corpus_dir / "qrels.txt"),
               "--vocab", str(bad_vocab),
               "--out", str(corpus_dir / "eval_bad"), "--quiet"])
+
+
+@pytest.fixture
+def eval_spy(monkeypatch):
+    """Counts ``mmio.read_matrix`` calls and keeps the arrays ``evaluate`` ranks."""
+    seen = {"reads": 0, "index": []}
+    read, evaluate = cli.mmio.read_matrix, cli.retrieval_mod.evaluate
+
+    def counted_read(path):
+        seen["reads"] += 1
+        return read(path)
+
+    def kept_evaluate(queries, index, *args, **kwargs):
+        seen["index"].append(index)
+        return evaluate(queries, index, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mmio, "read_matrix", counted_read)
+    monkeypatch.setattr(cli.retrieval_mod, "evaluate", kept_evaluate)
+    return seen
+
+
+def _index(corpus_dir, out, method):
+    rank = ["--rank", "2"] if method == "svd" else []
+    assert main(["index", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+                 "--method", method, *rank, "--out", str(out), "--quiet"]) == 0
+
+
+def _eval_outputs(corpus_dir, idx, out, spy, *extra):
+    """eval.json and eval.csv bytes, the read count and the array ranked."""
+    spy["reads"], spy["index"] = 0, []
+    assert main(["eval", "--index", str(idx / "index.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"), *extra,
+                 "--out", str(out), "--csv", "--quiet"]) == 0
+    [ranked] = spy["index"]
+    files = tuple((out / name).read_bytes() for name in ("eval.json", "eval.csv"))
+    return files, spy["reads"], ranked
+
+
+def _assert_same_array(got, want):
+    # same bytes and same layout: the layout sets the last bits of row @ a
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@pytest.mark.parametrize("method", ["svd", "complete"])
+def test_eval_binary_index_matches_text_parse(corpus_dir, eval_spy, method):
+    idx = corpus_dir / f"idx_{method}"
+    _index(corpus_dir, idx, method)
+    meta = json.loads((idx / "index_meta.json").read_text())
+    for name, key in (("index.mtx", "index_sha256"), ("index.npy", "array_sha256")):
+        assert meta[key] == hashlib.sha256((idx / name).read_bytes()).hexdigest()
+    binary, reads, loaded = _eval_outputs(corpus_dir, idx, corpus_dir / "e_npy", eval_spy)
+    assert reads == 0  # the verified sidecar skips the text parse
+    (idx / "index.npy").unlink()
+    text, reads, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_mtx", eval_spy)
+    assert reads == 1
+    assert binary == text
+    _assert_same_array(loaded, parsed)
+
+
+def _edit_mtx(idx):
+    lines = (idx / "index.mtx").read_text().splitlines(keepends=True)
+    lines[2] = "0.5\n"  # first entry of the array body
+    (idx / "index.mtx").write_text("".join(lines))
+
+
+def _replace_npy(idx):
+    np.save(idx / "index.npy", 2.0 * np.load(idx / "index.npy"), allow_pickle=False)
+
+
+def _truncate_npy(idx):
+    blob = (idx / "index.npy").read_bytes()
+    (idx / "index.npy").write_bytes(blob[: len(blob) // 2])
+
+
+def _drop_digests(idx):
+    meta = json.loads((idx / "index_meta.json").read_text())
+    del meta["index_sha256"], meta["array_sha256"]
+    (idx / "index_meta.json").write_text(json.dumps(meta))
+
+
+def _raw_over_complete(idx):
+    _index(idx.parent, idx, "raw")
+
+
+@pytest.mark.parametrize("spoil", [_edit_mtx, _replace_npy, _truncate_npy, _drop_digests,
+                                   _raw_over_complete, "other_meta"])
+def test_eval_falls_back_to_text_unless_digests_match(corpus_dir, eval_spy, spoil):
+    idx = corpus_dir / "idx"
+    _index(corpus_dir, idx, "complete")
+    extra = ()
+    if spoil == "other_meta":
+        _index(corpus_dir, corpus_dir / "idx_svd", "svd")
+        extra = ("--meta", str(corpus_dir / "idx_svd" / "index_meta.json"))
+    else:
+        spoil(idx)
+    assert (idx / "index.npy").exists()
+    got, reads, ranked = _eval_outputs(corpus_dir, idx, corpus_dir / "e_spoilt", eval_spy, *extra)
+    assert reads == 1
+    (idx / "index.npy").unlink()
+    want, _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_text", eval_spy, *extra)
+    assert got == want
+    _assert_same_array(ranked, parsed)
+
+
+def test_sweep_reads_its_matrix_once(corpus_dir, eval_spy):
+    assert main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"),
+                 "--ranks", "1:2", "--out", str(corpus_dir / "sweep"), "--quiet"]) == 0
+    assert eval_spy["reads"] == 1
 
 
 def test_sweep_csv_layout_and_determinism(corpus_dir):

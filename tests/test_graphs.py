@@ -1,5 +1,7 @@
 """Affinity construction, normalization schemes, embeddings, shifts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,38 @@ def test_affinity_graph_validation():
         AffinityGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="scheme"):
         AffinityGraph(np.eye(2), "fancy")
+
+
+def test_sparse_affinity_graph_validation_matches_dense():
+    for form in (np.asarray, SparseMatrix.from_dense):
+        with pytest.raises(ValueError, match="square"):
+            AffinityGraph(form(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="nonnegative"):
+            AffinityGraph(form(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+        with pytest.raises(ValueError, match="phi"):
+            AffinityGraph(form(np.eye(2)), "gwassoc", phi=np.ones(3))
+        # asymmetry may reach 1e-12 * max(|w|, 1), entries absent on one side included
+        assert AffinityGraph(form(np.array([[0.0, 1e3], [1e3 + 1e-10, 0.0]]))).order == 2
+        for w in ([[0.0, 1.0], [1.0 + 1e-11, 0.0]], [[0.0, 2e-12], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                AffinityGraph(form(np.array(w)))
+        assert AffinityGraph(form(np.zeros((3, 3)))).order == 3
+
+
+def test_bipartite_embed_of_order_20k_stays_sparse():
+    rng = np.random.default_rng(11)
+    m, n, nnz = 15_000, 5_000, 40_000
+    flat = rng.choice(m * n, nnz, replace=False)
+    a = SparseMatrix(m, n, flat // n, flat % n, rng.random(nnz) + 0.1)
+    import scipy.sparse  # noqa: F401  (its import is not the embedding's memory)
+
+    tracemalloc.start()
+    try:
+        g = bipartite_embed(a)
+        order = g.order
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order == m + n
+    # the dense (M+N)^2 embedding alone would take 3.2 GB
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -17,6 +17,7 @@ from conftest import POLYSEMY, SYNONYMY
 
 
 from oracle_utils import chain_oracle as _chain_oracle
+from oracle_utils import closure_oracle
 from oracle_utils import complete_oracle, completion_step_oracle
 from oracle_utils import cosine_rows_oracle as _cosine_rows_oracle
 
@@ -246,6 +247,8 @@ def test_ps_single_row_is_zero():
 
 DIFF_SEED = 20261018
 DIFF_TRIALS = 200
+CLOSURE_SEED = 19771001
+CLOSURE_TRIALS = 200
 INPUT_KINDS = ("sparse", "dense", "rounded", "zero_rows", "negative_zero")
 
 
@@ -307,6 +310,24 @@ def test_complete_equals_full_step_loop_bitwise(kernel_calls):
         capped += not trace.converged
     assert capped > 0
     assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
+
+
+@pytest.mark.parametrize("push_cost", [0, 10**9])
+@pytest.mark.filterwarnings("ignore:.*zero rows")
+def test_complete_equals_label_setting_closure_bitwise(monkeypatch, push_cost):
+    # an oracle that shares no step semantics: the fixpoint is the best
+    # similarity path product per entry, whatever order computes it;
+    # push_cost 0 forces every step to scatter, 10**9 to the dense block
+    monkeypatch.setattr(lsi, "_PUSH_COST", push_cost)
+    rng = np.random.default_rng(CLOSURE_SEED)
+    raised = 0
+    for t in range(CLOSURE_TRIALS):
+        a = _random_input(rng, INPUT_KINDS[t % len(INPUT_KINDS)])
+        got, trace = complete(a)
+        assert trace.converged
+        _assert_same_bytes(got, closure_oracle(a, word_similarity(a)))
+        raised += bool(np.any(got != a))
+    assert raised > CLOSURE_TRIALS // 2
 
 
 @pytest.mark.parametrize("push_cost,chunk", [(None, None), (0, 3), (10**9, None)])
