@@ -1,11 +1,13 @@
 """Command-line front end: corpus build, index construction, retrieval
 evaluation, rank sweeps, and clustering runs.
 
-Every command resolves its parameters from flags (highest precedence),
-an optional ``key=value`` config file, and defaults; the resolved
-parameters are hashed into every report for provenance.  Output files
-are staged and renamed into place, so a failing run leaves no partial
-outputs behind.
+Every command takes its parameters from flags (highest precedence,
+abbreviated ones too), an optional ``key=value`` config file, and
+defaults.  Config values become the parser's defaults, so each is
+converted by its option's own type, exactly like the flag.  Every report
+carries a hash of all parsed parameters except ``--out``, ``--quiet``
+and ``--config``, for provenance.  Output files are staged and renamed
+into place, so a failing run leaves no partial outputs behind.
 """
 
 from __future__ import annotations
@@ -31,15 +33,28 @@ from .matrix import rank_k_reconstruct, truncated_svd
 from .matrix import SvdFactors, as_dense, nmf_factorize
 
 
-def _config_hash(params: dict) -> str:
+# dispatch entries and options that do not change what a run computes
+_UNHASHED = ("func", "parser_ref", "config", "out", "quiet")
+_TRUE_WORDS = ("1", "true", "yes", "on")
+
+
+def _config_hash(args) -> str:
+    params = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
     canon = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _read_config(path):
+def _is_true(word: str) -> bool:
+    return word.strip().lower() in _TRUE_WORDS
+
+
+def _config_defaults(path, parser) -> dict:
+    """The ``key=value`` lines of ``path`` as defaults for ``parser``'s
+    options.  Values stay strings, so argparse converts them with each
+    option's ``type``; on/off flags take a true/false word.  Keys naming
+    no option of this command are ignored, so one file can serve all."""
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
     out = {}
-    if path is None:
-        return out
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -47,62 +62,37 @@ def _read_config(path):
                 continue
             if "=" not in line:
                 raise SystemExit(f"config line {lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            action = actions.get(key.replace("-", "_"))
+            if action is not None:
+                out[action.dest] = _is_true(value) if action.nargs == 0 else value
     return out
 
 
-def _user_provided(parser, argv, dest):
-    for action in parser._actions:
-        if action.dest == dest:
-            return any(
-                tok == opt or tok.startswith(opt + "=")
-                for opt in action.option_strings
-                for tok in argv
-            )
-    return False
-
-
-def _apply_config(args, parser, config):
-    # flags win: config only fills options absent from the command line
-    argv = getattr(args, "argv_", ())
-    for key, raw in config.items():
-        if not hasattr(args, key) or _user_provided(parser, argv, key):
-            continue
-        current_default = parser.get_default(key)
-        if isinstance(current_default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current_default, int):
-            value = int(raw)
-        elif isinstance(current_default, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
-
-
 class _Stager:
-    """Collects output files and renames them into place only when all
-    writes succeeded."""
+    """Stages output files and renames them into place when the ``with``
+    block succeeds; on any exception the staged files are discarded."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
+
+    def __enter__(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.tmp_dir = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out_dir))
         self.staged = []
+        return self
 
     def path(self, name) -> Path:
-        p = self.tmp_dir / name
         self.staged.append(name)
-        return p
+        return self.tmp_dir / name
 
-    def commit(self):
-        for name in self.staged:
-            os.replace(self.tmp_dir / name, self.out_dir / name)
-        shutil.rmtree(self.tmp_dir, ignore_errors=True)
-
-    def abort(self):
-        shutil.rmtree(self.tmp_dir, ignore_errors=True)
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                for name in self.staged:
+                    os.replace(self.tmp_dir / name, self.out_dir / name)
+        finally:
+            shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
 
 def _write_json(path, payload):
@@ -134,9 +124,7 @@ def _resolve_stoplist(path):
 # corpus build
 
 
-def cmd_corpus_build(args, parser):
-    config = _read_config(args.config)
-    _apply_config(args, parser, config)
+def cmd_corpus_build(args):
     stoplist = _resolve_stoplist(args.stoplist)
     fields = tuple(f.strip().upper() for f in args.fields.split(",") if f.strip())
     with open(args.docs, "r", encoding="utf-8", errors="replace") as fh:
@@ -145,29 +133,24 @@ def cmd_corpus_build(args, parser):
     tdm = corpus_mod.build_matrix(docs, tok)
     if args.log_scale:
         tdm = corpus_mod.log_scale(tdm)
-    params = {
+    stats = corpus_mod.collection_stats(tdm)
+    stats["config_hash"] = _config_hash(args)
+    # eval reads the tokenizer settings back to build matching queries
+    stats.update({
         "command": "corpus-build",
-        "docs": str(args.docs),
+        "docs": args.docs,
         "fields": list(fields),
         "min_length": args.min_length,
-        "log_scale": bool(args.log_scale),
-        "stoplist": str(args.stoplist) if args.stoplist is not None else "builtin",
-    }
-    stats = corpus_mod.collection_stats(tdm)
-    stats["config_hash"] = _config_hash(params)
-    stats.update(params)
-    stager = _Stager(args.out)
-    try:
+        "log_scale": args.log_scale,
+        "stoplist": args.stoplist if args.stoplist is not None else "builtin",
+    })
+    with _Stager(args.out) as stager:
         mmio.write_matrix(stager.path("matrix.mtx"), tdm.matrix)
         with open(stager.path("vocabulary.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(tdm.vocabulary.terms) + "\n")
         with open(stager.path("docids.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(str(d) for d in tdm.doc_ids) + "\n")
         _write_json(stager.path("stats.json"), stats)
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
     _info(args, f"built {stats['words']}x{stats['documents']} matrix "
                 f"({stats['nnz_percent']:.3f}% nonzero) in {args.out}")
     return 0
@@ -215,24 +198,14 @@ def _load_binary_index(index_path, meta):
     return np.load(array_path, allow_pickle=False)
 
 
-def cmd_index(args, parser):
-    config = _read_config(args.config)
-    _apply_config(args, parser, config)
+def cmd_index(args):
     matrix_path = Path(args.matrix)
     if not matrix_path.exists():
         raise SystemExit(f"matrix file not found: {matrix_path}")
-    params = {
-        "command": "index",
-        "method": args.method,
-        "matrix": str(matrix_path),
-        "rank": args.rank,
-        "maxiter": args.maxiter,
-        "stable_window": args.stable_window,
-    }
     meta = {
         "method": args.method,
         "source": str(matrix_path),
-        "config_hash": _config_hash(params),
+        "config_hash": _config_hash(args),
     }
     vocab_path = args.vocab or _sidecar(matrix_path, "vocabulary.txt")
     if vocab_path is not None:
@@ -245,8 +218,7 @@ def cmd_index(args, parser):
         with open(stats_path, "r", encoding="utf-8") as fh:
             meta["corpus"] = json.load(fh)
 
-    stager = _Stager(args.out)
-    try:
+    with _Stager(args.out) as stager:
         if args.method == "raw":
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
         elif args.method == "svd":
@@ -269,7 +241,7 @@ def cmd_index(args, parser):
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
             meta["singular_values"] = [float(v) for v in factors.values]
-        elif args.method == "complete":
+        else:
             m = mmio.read_matrix(matrix_path)
             completed, trace = lsi_mod.complete(m, args.maxiter, args.stable_window)
             mmio.write_matrix(stager.path("index.mtx"), completed)
@@ -283,13 +255,7 @@ def cmd_index(args, parser):
             }
             _write_json(stager.path("trace.json"), trace_payload)
             meta.update(trace_payload)
-        else:
-            raise SystemExit(f"unknown index method {args.method!r}")
         _write_json(stager.path("index_meta.json"), meta)
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
     _info(args, f"wrote {args.method} index to {args.out}")
     return 0
 
@@ -298,14 +264,14 @@ def cmd_index(args, parser):
 # eval
 
 
-def _load_eval_inputs(args, index=None):
+def _load_eval_inputs(args, index_path, meta_path=None, index=None):
     """Index, queries and judgments for ``eval``; ``sweep`` passes the
     matrix it has already read as ``index``."""
-    index_path = Path(args.index)
+    index_path = Path(index_path)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
     meta = {}
-    meta_path = args.meta or _sidecar(index_path, "index_meta.json")
+    meta_path = meta_path or _sidecar(index_path, "index_meta.json")
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -354,38 +320,24 @@ def _load_eval_inputs(args, index=None):
     return index_dense, qmatrix, qids, doc_ids, judgments, meta
 
 
-def cmd_eval(args, parser):
-    config = _read_config(args.config)
-    _apply_config(args, parser, config)
-    index, qmatrix, qids, doc_ids, judgments, meta = _load_eval_inputs(args)
-    params = {
-        "command": "eval",
-        "index": str(args.index),
-        "queries": str(args.queries),
-        "qrels": str(args.qrels),
-        "points": args.points,
-    }
+def cmd_eval(args):
+    index, qmatrix, qids, doc_ids, judgments, meta = _load_eval_inputs(args, args.index, args.meta)
     run_meta = {
         "type": meta.get("method", "unknown"),
-        "config_hash": _config_hash(params),
+        "config_hash": _config_hash(args),
     }
     for key in ("rank", "conviter", "converged", "ps_percent"):
         if key in meta:
             run_meta[key] = meta[key]
     report = retrieval_mod.evaluate(qmatrix, index, judgments, args.points,
                                     query_ids=qids, doc_ids=doc_ids, meta=run_meta)
-    stager = _Stager(args.out)
-    try:
+    with _Stager(args.out) as stager:
         _write_json(stager.path("eval.json"), report.to_json_dict())
         if args.csv:
             with open(stager.path("eval.csv"), "w", encoding="utf-8") as fh:
                 fh.write("qid,avgp\n")
                 for qid, avgp in report.per_query:
                     fh.write(f"{qid},{avgp!r}\n")
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
     _info(args, f"mean {args.points}-point interpolated average precision: "
                 f"{report.mean_avgp:.4f} over {len(report.per_query)} queries")
     return 0
@@ -412,26 +364,10 @@ def _parse_ranks(spec: str):
     return ranks
 
 
-def cmd_sweep(args, parser):
-    config = _read_config(args.config)
-    _apply_config(args, parser, config)
-    args.index = args.matrix  # queries are built against the raw matrix's vocabulary
-    args.meta = None
-    params = {
-        "command": "sweep",
-        "matrix": str(args.matrix),
-        "queries": str(args.queries),
-        "qrels": str(args.qrels),
-        "ranks": args.ranks,
-        "points": args.points,
-        "maxiter": args.maxiter,
-        "stable_window": args.stable_window,
-        "nmf_rank": args.nmf_rank,
-        "nmf_iterations": args.nmf_iterations,
-        "seed": args.seed,
-    }
+def cmd_sweep(args):
     matrix = mmio.read_matrix(args.matrix)
-    dense, qmatrix, qids, doc_ids, judgments, _ = _load_eval_inputs(args, matrix)
+    # queries are built against the raw matrix's vocabulary
+    dense, qmatrix, qids, doc_ids, judgments, _ = _load_eval_inputs(args, args.matrix, index=matrix)
     ranks = _parse_ranks(args.ranks)
     if ranks[-1] > min(dense.shape):
         raise SystemExit(f"rank {ranks[-1]} exceeds min(M, N) = {min(dense.shape)}")
@@ -455,13 +391,12 @@ def cmd_sweep(args, parser):
         qmatrix, basis @ coeff, judgments, args.points,
         query_ids=qids, doc_ids=doc_ids).mean_avgp
 
-    stager = _Stager(args.out)
-    try:
+    best = int(np.argmax(svd_means))
+    with _Stager(args.out) as stager:
         with open(stager.path("sweep.csv"), "w", encoding="utf-8") as fh:
             fh.write("rank,svd,completion,nmf\n")
             for k, mean in zip(ranks, svd_means):
                 fh.write(f"{k},{mean!r},{completion_mean!r},{nmf_mean!r}\n")
-        best = int(np.argmax(svd_means))
         _write_json(stager.path("sweep.json"), {
             "ranks": ranks,
             "svd": svd_means,
@@ -473,13 +408,9 @@ def cmd_sweep(args, parser):
             "nmf_rank": nmf_rank,
             "points": args.points,
             "seed": args.seed,
-            "config_hash": _config_hash(params),
+            "config_hash": _config_hash(args),
         })
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
-    _info(args, f"svd best {max(svd_means):.4f} at rank {ranks[int(np.argmax(svd_means))]}; "
+    _info(args, f"svd best {svd_means[best]:.4f} at rank {ranks[best]}; "
                 f"completion {completion_mean:.4f}; nmf {nmf_mean:.4f}")
     return 0
 
@@ -500,24 +431,8 @@ def _read_reference_labels(path):
     return np.array(labels, dtype=np.int64)
 
 
-def cmd_cluster(args, parser):
-    config = _read_config(args.config)
-    _apply_config(args, parser, config)
-    matrix = mmio.read_matrix(args.matrix)
-    dense = as_dense(matrix)
-    params = {
-        "command": "cluster",
-        "matrix": str(args.matrix),
-        "method": args.method,
-        "k": args.k,
-        "seed": args.seed,
-        "trials": args.trials,
-        "kernel": args.kernel,
-        "alpha": args.alpha,
-        "c": args.c,
-        "d": args.d,
-        "theta": args.theta,
-    }
+def cmd_cluster(args):
+    dense = as_dense(mmio.read_matrix(args.matrix))
     if args.method == "spectral":
         if args.kernel == "gaussian" and args.alpha is None:
             raise SystemExit("gaussian kernel requires --alpha")
@@ -526,22 +441,18 @@ def cmd_cluster(args, parser):
         run = cluster_mod.spectral_cluster(dense, args.k, spec, args.seed)
     elif args.method == "bipartite-svd":
         run = cluster_mod.bipartite_svd_cluster(dense, args.k, args.seed)
-    elif args.method == "nmf":
-        run = cluster_mod.nmf_cluster(dense, args.k, args.seed, trials=args.trials)
     else:
-        raise SystemExit(f"unknown clustering method {args.method!r}")
+        run, trial_labels = cluster_mod._nmf_trials(dense, args.k, args.seed, args.trials)
 
     scores = None
     if args.reference is not None:
         reference = _read_reference_labels(args.reference)
-        if args.method == "nmf" and args.trials > 1:
-            scores = cluster_mod.nmf_trial_scores(dense, reference, args.k,
-                                                  args.seed, args.trials)
-        else:
-            scores = cluster_mod.eval_clustering(run.labels, reference)
+        # nmf reports the mean over its trials, as nmf_trial_scores does
+        labelings = trial_labels if args.method == "nmf" else [run.labels]
+        scores = cluster_mod.mean_scores(
+            cluster_mod.eval_clustering(labels, reference) for labels in labelings)
 
-    stager = _Stager(args.out)
-    try:
+    with _Stager(args.out) as stager:
         with open(stager.path("labels.csv"), "w", encoding="utf-8") as fh:
             fh.write("item,label\n")
             for i, lab in enumerate(run.labels):
@@ -552,7 +463,7 @@ def cmd_cluster(args, parser):
                 "k": run.k,
                 "seed": run.seed,
                 "trials": run.trials,
-                "config_hash": _config_hash(params),
+                "config_hash": _config_hash(args),
                 "scores": {
                     "mi": scores.mutual_information,
                     "entropy": scores.entropy,
@@ -560,10 +471,6 @@ def cmd_cluster(args, parser):
                     "fmeasure": scores.f_measure,
                 },
             })
-        stager.commit()
-    except BaseException:
-        stager.abort()
-        raise
     _info(args, f"{run.method} clustering into k={run.k} written to {args.out}")
     return 0
 
@@ -585,7 +492,7 @@ def _add_query_options(p):
                    help="vocabulary file (default: from index metadata or a sibling vocabulary.txt)")
     p.add_argument("--stoplist", default=None, help="stop-word file override")
     p.add_argument("--min-length", type=int, default=None, help="token length override")
-    p.add_argument("--log-scale-queries", type=lambda s: s.lower() in ("1", "true", "yes"),
+    p.add_argument("--log-scale-queries", type=_is_true,
                    default=None, help="override query log damping (true/false)")
 
 
@@ -664,16 +571,21 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """Parse ``argv``; a ``--config`` file's values become the command's
+    defaults and the command line is parsed again, so flags win."""
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     args = parser.parse_args(argv)
-    args.argv_ = tuple(argv)
+    if args.config is not None:
+        args.parser_ref.set_defaults(**_config_defaults(args.config, args.parser_ref))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        return args.func(args, args.parser_ref)
-    except SystemExit:
-        raise
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

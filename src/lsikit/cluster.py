@@ -99,6 +99,28 @@ def bipartite_svd_cluster(a, k: int, seed: int) -> ClusteringRun:
     return ClusteringRun(labels, k, "bipartite-svd", seed)
 
 
+def _nmf_trials(a, k: int, seed: int, trials: int, iterations: int = 200):
+    """Factorize ``trials`` times, trial t seeded ``seed + t``.
+
+    Returns the run of the trial with the smallest reconstruction error
+    (the first on ties) and the labels of every trial, in trial order.
+    """
+    dense = as_dense(a)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    normalized = _column_normalize(dense)
+    trial_labels, best, best_err = [], 0, np.inf
+    for t in range(trials):
+        basis, coeff = nmf_factorize(normalized, k, iterations, seed + t)
+        trial_labels.append(np.argmax(coeff, axis=0))
+        err = frobenius_norm(normalized - basis @ coeff)
+        if err < best_err:
+            best, best_err = t, err
+    return ClusteringRun(trial_labels[best], k, "nmf", seed, trials), trial_labels
+
+
 def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) -> ClusteringRun:
     """Column-normalize, factorize A ~ BC, assign each document to the
     row of its largest coefficient (ties to the lowest index).
@@ -108,29 +130,14 @@ def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) ->
     reconstruction error are returned; use :func:`nmf_trial_scores` to
     average quality metrics over the trials.
     """
-    dense = as_dense(a)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    normalized = _column_normalize(dense)
-    best_labels, best_err = None, np.inf
-    for t in range(trials):
-        basis, coeff = nmf_factorize(normalized, k, iterations, seed + t)
-        err = frobenius_norm(normalized - basis @ coeff)
-        if err < best_err:
-            best_labels, best_err = np.argmax(coeff, axis=0), err
-    return ClusteringRun(best_labels, k, "nmf", seed, trials)
+    return _nmf_trials(a, k, seed, trials, iterations)[0]
 
 
 def nmf_trial_scores(a, reference, k: int, seed: int, trials: int,
                      iterations: int = 200) -> QualityScores:
     """Quality metrics of repeated factorization runs, averaged."""
-    runs = [
-        nmf_cluster(a, k, seed + t, trials=1, iterations=iterations)
-        for t in range(trials)
-    ]
-    return mean_scores([eval_clustering(r.labels, reference) for r in runs])
+    _, trial_labels = _nmf_trials(a, k, seed, trials, iterations)
+    return mean_scores(eval_clustering(labels, reference) for labels in trial_labels)
 
 
 def eval_clustering(labels, reference) -> QualityScores:

@@ -1,10 +1,12 @@
 """End-to-end command-line runs on a small synthetic SMART corpus."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 import lsikit
 from lsikit import cli
+from lsikit import cluster as cluster_mod
 from lsikit.cli import main
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import read_matrix, write_matrix
@@ -138,6 +141,20 @@ def test_index_svd_invalid_rank_fails_cleanly(tmp_path):
         main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "svd",
               "--rank", "9", "--out", str(out), "--quiet"])
     assert not (out / "index.mtx").exists()  # no partial outputs
+    assert not list(out.glob(".staging-*"))
+
+
+def test_failure_after_staging_leaves_no_outputs(tmp_path, monkeypatch):
+    write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_save_binary_index", disk_full)  # after index.mtx is staged
+    out = tmp_path / "idx"
+    assert main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "complete",
+                 "--out", str(out), "--quiet"]) == 1
+    assert list(out.iterdir()) == []
 
 
 def test_index_complete_emits_trace(tmp_path):
@@ -376,7 +393,7 @@ def test_cluster_spectral_requires_alpha(tmp_path):
               "--k", "2", "--out", str(tmp_path / "c"), "--quiet"])
 
 
-def test_cluster_nmf_with_trials(tmp_path):
+def test_cluster_nmf_with_trials(tmp_path, monkeypatch):
     a = np.zeros((6, 8))
     a[:3, :4] = 1.0
     a[3:, 4:] = 2.0
@@ -384,13 +401,24 @@ def test_cluster_nmf_with_trials(tmp_path):
     ref = tmp_path / "ref.csv"
     ref.write_text("\n".join(["0"] * 4 + ["1"] * 4) + "\n")
     out = tmp_path / "c"
+    factorize, calls = cluster_mod.nmf_factorize, []
+    monkeypatch.setattr(cluster_mod, "nmf_factorize",
+                        lambda *args: calls.append(args[3]) or factorize(*args))
     rc = main(["cluster", "--matrix", str(tmp_path / "m.mtx"), "--method", "nmf",
                "--k", "2", "--trials", "5", "--reference", str(ref),
                "--out", str(out), "--quiet"])
     assert rc == 0
+    assert calls == [0, 1, 2, 3, 4]  # one factorization per trial, seeds seed + t
+    monkeypatch.undo()
     scores = json.loads((out / "scores.json").read_text())
     assert scores["trials"] == 5
     assert scores["scores"]["purity"] > 0.9
+    # the best trial's labels and the mean over all trials, as the library gives them
+    labels = [int(line.split(",")[1]) for line in (out / "labels.csv").read_text().split()[1:]]
+    assert labels == cluster_mod.nmf_cluster(a, 2, 0, trials=5).labels.tolist()
+    want = cluster_mod.nmf_trial_scores(a, [0] * 4 + [1] * 4, 2, 0, 5)
+    assert scores["scores"] == {"mi": want.mutual_information, "entropy": want.entropy,
+                                "purity": want.purity, "fmeasure": want.f_measure}
 
 
 def test_cluster_without_reference_writes_labels_only(tmp_path):
@@ -418,6 +446,171 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     stats2 = json.loads((out2 / "stats.json").read_text())
     assert stats2["min_length"] == 2
     assert stats1["config_hash"] != stats2["config_hash"]
+    for flag in (["--min-len", "2"], ["--min-len=2"], ["--min-length=2"]):  # abbreviated too
+        out3 = tmp_path / "o3"
+        main(["corpus", "build", "--docs", str(tmp_path / "docs.txt"),
+              "--config", str(cfg), *flag, "--out", str(out3), "--quiet"])
+        assert (out3 / "stats.json").read_bytes() == (out2 / "stats.json").read_bytes()
+
+
+def _leaf_parsers(parser=None, words=()):
+    """(command words, parser) of every subcommand of ``build_parser()``."""
+    parser = parser or cli.build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(words), parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_parsers(child, (*words, name))
+
+
+def _required_argv(parser):
+    argv = []
+    for action in parser._actions:
+        if action.required:
+            value = action.choices[0] if action.choices else "2" if action.type else "x"
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+def _parsed(argv):
+    ns = vars(cli._parse_args(argv))
+    del ns["parser_ref"], ns["config"]  # a new parser per call; the config path itself
+    return ns
+
+
+def test_config_values_parse_like_their_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    checked = set()
+    for words, parser in _leaf_parsers():
+        base = words + _required_argv(parser)
+        default = _parsed(base)
+        for action in parser._actions:
+            if not action.option_strings or action.required or action.dest == "help":
+                continue
+            if action.nargs == 0:  # on/off flags take a true/false word
+                flag, value = [action.option_strings[0]], str(action.const).lower()
+            elif action.type is not None:
+                flag, value = [action.option_strings[0], "7"], "7"
+            else:
+                continue
+            cfg.write_text(f"{action.dest}={value}\n")
+            from_config = _parsed(base + ["--config", str(cfg)])
+            assert from_config == _parsed(base + flag), (words, action.dest)
+            assert from_config[action.dest] != default[action.dest], (words, action.dest)
+            checked.add((words[-1], action.dest))
+    assert {("index", "rank"), ("cluster", "alpha"), ("eval", "min_length"),
+            ("sweep", "min_length"), ("eval", "log_scale_queries"),
+            ("build", "log_scale"), ("eval", "csv")} <= checked
+
+
+def test_config_hash_covers_every_option_but_out_quiet_config(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    for words, parser in _leaf_parsers():
+        base = words + _required_argv(parser)
+        args = cli._parse_args(base)
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            opt = action.option_strings[0]
+            if action.nargs == 0:
+                extra = [opt]
+            elif action.dest == "config":
+                extra = [opt, str(cfg)]
+            elif action.choices:
+                extra = [opt, next(c for c in action.choices if c != getattr(args, action.dest))]
+            else:
+                extra = [opt, "7" if action.type else "other"]
+            changed = cli._config_hash(cli._parse_args(base + extra)) != cli._config_hash(args)
+            assert changed == (action.dest not in ("out", "quiet", "config")), (words, opt)
+
+
+@pytest.fixture
+def run_dir(corpus_dir):
+    _index(corpus_dir, corpus_dir / "idx", "raw")
+    (corpus_dir / "ref.csv").write_text("0\n0\n0\n1\n1\n1\n")
+    (corpus_dir / "ref2.csv").write_text("0\n0\n1\n1\n1\n1\n")
+    (corpus_dir / "stop.txt").write_text("the\nand\n")
+    (corpus_dir / "empty.cfg").write_text("# no settings\n")
+    write_matrix(corpus_dir / "points.mtx", np.random.default_rng(0).random((2, 8)))
+    (corpus_dir / "points.csv").write_text("\n".join(["0"] * 4 + ["1"] * 4) + "\n")
+    return corpus_dir
+
+
+_QUERIES = ["--queries", "{d}/queries.txt", "--qrels", "{d}/qrels.txt"]
+_EVAL = ["eval", "--index", "{d}/idx/index.mtx", *_QUERIES]
+_SWEEP = ["sweep", "--matrix", "{d}/corpus/matrix.mtx", *_QUERIES, "--ranks", "1:2"]
+_REPORT = {"index": "index_meta.json", "eval": "eval.json",
+           "sweep": "sweep.json", "cluster": "scores.json"}
+
+
+def _run(d, argv):
+    """Run ``argv`` with ``{d}`` set to ``d``; returns the output directory."""
+    argv = [arg.format(d=d) for arg in argv]
+    out = argv[argv.index("--out") + 1] if "--out" in argv else tempfile.mkdtemp(dir=d)
+    assert main([*argv, "--out", out]) == 0
+    return Path(out)
+
+
+def _report_hash(d, argv):
+    report = json.loads((_run(d, argv) / _REPORT[argv[0]]).read_text())
+    return (report["index"] if argv[0] == "eval" else report)["config_hash"]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "svd"], "rank", "2"),
+    (["cluster", "--matrix", "{d}/points.mtx", "--method", "spectral", "--k", "2",
+      "--reference", "{d}/points.csv"], "alpha", "0.3"),
+    (_EVAL, "min_length", "3"),
+    (_SWEEP, "min-length", "3"),
+], ids=["index-rank", "cluster-alpha", "eval-min_length", "sweep-min-length"])
+def test_config_value_runs_like_its_flag(run_dir, argv, key, value):
+    cfg = run_dir / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    via_config = _run(run_dir, [*argv, "--config", str(cfg), "--quiet"])
+    via_flag = _run(run_dir, [*argv, "--" + key.replace("_", "-"), value, "--quiet"])
+    names = sorted(p.name for p in via_flag.iterdir())
+    assert names == sorted(p.name for p in via_config.iterdir())
+    for name in names:  # the config path is not hashed, so even the reports match
+        assert (via_config / name).read_bytes() == (via_flag / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("word", ["false", "true"])
+def test_config_log_scale_queries_word_reaches_the_queries(run_dir, monkeypatch, word):
+    build, damped = cli.corpus_mod.build_query_matrix, []
+
+    def spy(*args, apply_log_scale, **kwargs):
+        damped.append(apply_log_scale)
+        return build(*args, apply_log_scale=apply_log_scale, **kwargs)
+
+    monkeypatch.setattr(cli.corpus_mod, "build_query_matrix", spy)
+    (run_dir / "run.cfg").write_text(f"log_scale_queries={word}\n")
+    _run(run_dir, [*_EVAL, "--config", "{d}/run.cfg", "--quiet"])
+    assert damped == [word == "true"]
+
+
+@pytest.mark.parametrize("argv, extra, hashed", [
+    (_EVAL, ["--stoplist", "{d}/stop.txt"], True),
+    (_EVAL, ["--min-length", "3"], True),
+    (_EVAL, ["--log-scale-queries", "false"], True),
+    (_EVAL, ["--vocab", "{d}/corpus/vocabulary.txt"], True),
+    (_EVAL, ["--meta", "{d}/idx/index_meta.json"], True),
+    (_SWEEP, ["--stoplist", "{d}/stop.txt"], True),
+    (_SWEEP, ["--log-scale-queries", "false"], True),
+    (["cluster", "--matrix", "{d}/corpus/matrix.mtx", "--method", "bipartite-svd", "--k", "2",
+      "--reference", "{d}/ref.csv"], ["--reference", "{d}/ref2.csv"], True),
+    (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "raw"],
+     ["--vocab", "{d}/corpus/vocabulary.txt"], True),
+    (_EVAL, ["--out", "{d}/elsewhere"], False),
+    (_EVAL, ["--quiet"], False),
+    (_EVAL, ["--config", "{d}/empty.cfg"], False),
+], ids=["eval-stoplist", "eval-min-length", "eval-log-scale-queries", "eval-vocab", "eval-meta",
+        "sweep-stoplist", "sweep-log-scale-queries", "cluster-reference", "index-vocab",
+        "eval-out", "eval-quiet", "eval-config"])
+def test_report_config_hash_follows_result_options(run_dir, argv, extra, hashed):
+    changed = _report_hash(run_dir, [*argv, *extra]) != _report_hash(run_dir, argv)
+    assert changed == hashed
 
 
 def test_importing_cli_leaves_scipy_unloaded():
