@@ -48,11 +48,22 @@ def _is_true(word: str) -> bool:
     return word.strip().lower() in _TRUE_WORDS
 
 
-def _config_defaults(path, parser) -> dict:
+def _option_dests(parser) -> set:
+    """Option names of ``parser`` and of all its subcommands."""
+    dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+    for sub in parser._actions:
+        if isinstance(sub, argparse._SubParsersAction):
+            dests.update(*map(_option_dests, sub.choices.values()))
+    return dests
+
+
+def _config_defaults(path, parser, root) -> dict:
     """The ``key=value`` lines of ``path`` as defaults for ``parser``'s
     options.  Values stay strings, so argparse converts them with each
-    option's ``type``; on/off flags take a true/false word.  Keys naming
-    no option of this command are ignored, so one file can serve all."""
+    option's ``type`` (but checks no default against ``choices``, so this
+    does); on/off flags take a true/false word.  A key must name an option
+    of some command of ``root``, so one file can serve every command."""
+    known = _option_dests(root)
     actions = {a.dest: a for a in parser._actions if a.option_strings}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -63,9 +74,16 @@ def _config_defaults(path, parser) -> dict:
             if "=" not in line:
                 raise SystemExit(f"config line {lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            action = actions.get(key.replace("-", "_"))
-            if action is not None:
-                out[action.dest] = _is_true(value) if action.nargs == 0 else value
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise SystemExit(f"config line {lineno}: no command has an option {key!r}")
+            action = actions.get(dest)
+            if action is None:
+                continue
+            if action.choices is not None and value not in action.choices:
+                raise SystemExit(f"config line {lineno}: {key}={value!r} is not one of "
+                                 + ", ".join(action.choices))
+            out[dest] = _is_true(value) if action.nargs == 0 else value
     return out
 
 
@@ -243,7 +261,7 @@ def cmd_index(args):
             meta["singular_values"] = [float(v) for v in factors.values]
         else:
             m = mmio.read_matrix(matrix_path)
-            completed, trace = lsi_mod.complete(m, args.maxiter, args.stable_window)
+            completed, trace = lsi_mod.complete(m, args.maxiter)
             mmio.write_matrix(stager.path("index.mtx"), completed)
             _save_binary_index(stager, completed, meta)
             trace_payload = {
@@ -256,6 +274,9 @@ def cmd_index(args):
             _write_json(stager.path("trace.json"), trace_payload)
             meta.update(trace_payload)
         _write_json(stager.path("index_meta.json"), meta)
+    for name in ("index.npy", "trace.json", "svd_factors.npz"):
+        if name not in stager.staged:  # left by an earlier run with another method
+            (stager.out_dir / name).unlink(missing_ok=True)
     _info(args, f"wrote {args.method} index to {args.out}")
     return 0
 
@@ -380,7 +401,7 @@ def cmd_sweep(args):
                                      query_ids=qids, doc_ids=doc_ids)
         svd_means.append(rep.mean_avgp)
 
-    completed, trace = lsi_mod.complete(matrix, args.maxiter, args.stable_window)
+    completed, trace = lsi_mod.complete(matrix, args.maxiter)
     completion_mean = retrieval_mod.evaluate(
         qmatrix, completed, judgments, args.points,
         query_ids=qids, doc_ids=doc_ids).mean_avgp
@@ -480,7 +501,6 @@ def cmd_cluster(args):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--quiet", action="store_true", help="suppress progress messages")
@@ -522,8 +542,6 @@ def build_parser():
     index_p.add_argument("--method", required=True, choices=("raw", "svd", "complete"))
     index_p.add_argument("--rank", type=int, default=None, help="rank for --method svd")
     index_p.add_argument("--maxiter", type=int, default=100, help="completion iteration cap")
-    index_p.add_argument("--stable-window", type=int, default=3,
-                         help="consecutive unchanged iterations required to declare convergence")
     index_p.add_argument("--vocab", default=None, help="vocabulary sidecar to record in metadata")
     _add_common(index_p)
     index_p.set_defaults(func=cmd_index, parser_ref=index_p)
@@ -547,10 +565,10 @@ def build_parser():
     sweep_p.add_argument("--ranks", required=True, help="rank list, e.g. 1:40 or 5,10,20")
     _add_query_options(sweep_p)
     sweep_p.add_argument("--maxiter", type=int, default=100)
-    sweep_p.add_argument("--stable-window", type=int, default=3)
     sweep_p.add_argument("--nmf-rank", type=int, default=None,
                          help="rank of the NMF baseline (default: largest sweep rank)")
     sweep_p.add_argument("--nmf-iterations", type=int, default=200)
+    sweep_p.add_argument("--seed", type=int, default=0, help="NMF baseline seed (default 0)")
     _add_common(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep, parser_ref=sweep_p)
 
@@ -565,6 +583,7 @@ def build_parser():
     cluster_p.add_argument("--theta", type=float, default=None, help="sigmoid offset")
     cluster_p.add_argument("--trials", type=int, default=1, help="nmf trials to average")
     cluster_p.add_argument("--reference", default=None, help="reference labels CSV for scoring")
+    cluster_p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     _add_common(cluster_p)
     cluster_p.set_defaults(func=cmd_cluster, parser_ref=cluster_p)
 
@@ -577,7 +596,7 @@ def _parse_args(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        args.parser_ref.set_defaults(**_config_defaults(args.config, args.parser_ref))
+        args.parser_ref.set_defaults(**_config_defaults(args.config, args.parser_ref, parser))
         args = parser.parse_args(argv)
     return args
 

@@ -5,10 +5,11 @@ term-document matrix.  Each completion step then raises every entry to
 the best similarity-weighted entry in its column, reading only the
 previous iteration's matrix (snapshot semantics).  Entries are monotone
 non-decreasing and bounded by their column maxima, so iteration reaches
-a unique fixpoint; convergence is declared only after the matrix stays
-bitwise unchanged for a configurable window of consecutive iterations,
-because norm-based stopping can be fooled by updates too small to move
-the Frobenius norm in floating point.
+a unique fixpoint.  Convergence is declared at the first step that
+leaves the matrix bitwise unchanged: a step reads only its input, so an
+unchanged input gives the same output at every later step.  Norm-based
+stopping is not used, because it can be fooled by updates too small to
+move the Frobenius norm in floating point.
 
 Steps are semi-naive (Bancilhon 1986): because max is monotone and
 idempotent, an entry can rise in step n+1 only if a similarity
@@ -16,7 +17,7 @@ neighbour changed in step n, so each step pushes only the entries the
 previous step changed.  It scatters them one by one or runs the dense
 per-row update over the changed rows and columns, whichever its work
 estimate says is cheaper; both give the full step's result bit for
-bit, and an idle confirmation step costs one copy.
+bit, and the idle step that confirms the fixpoint costs one copy.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ class CompletionTrace:
     """Per-iteration Frobenius norms plus convergence bookkeeping.
 
     ``norms[n]`` is the norm after n update steps (index 0 = input).
-    ``conviter`` is the first iteration of the final stable run: the
-    smallest n with A(n) == A(n-1) and no later change.  When the
-    iteration cap is hit before stability, ``converged`` is False and
-    ``conviter`` reports the cap.  ``ps_percent`` is the percentage of
-    word pairs with perfect similarity.  ``changed[n - 1]`` counts the
-    entries that step n changed (0 on idle steps); it is empty when no
-    counts were recorded.
+    ``conviter`` is the smallest n with A(n) == A(n-1), the fixpoint: a
+    step reads only its input, so every later step is idle too.  When
+    the iteration cap is hit before an idle step, ``converged`` is False
+    and ``conviter`` reports the cap.  ``ps_percent`` is the percentage
+    of word pairs with perfect similarity.  ``changed[n - 1]`` counts the
+    entries that step n changed, so a converged trace ends in one 0; it
+    is empty when no counts were recorded.
     """
 
     norms: tuple
@@ -214,19 +215,18 @@ def _dense_block(out, cur, s, rows, cols):
         out[i, cols] = np.maximum(out[i, cols], candidates.max(axis=0))
 
 
-def complete(initial, maxiter: int = 100, stable_window: int = 3):
+def complete(initial, maxiter: int = 100):
     """Iterate :func:`completion_step` to the fixpoint.
 
     The first step pushes every nonzero entry; each later step pushes
-    only the entries the step before it changed.  Stops once the matrix
-    is bitwise unchanged for ``stable_window`` consecutive iterations,
-    or at ``maxiter``.  Returns the completed dense matrix, whose zeros
-    are +0.0, and a :class:`CompletionTrace`.
+    only the entries the step before it changed.  Stops at the first
+    step that leaves the matrix bitwise unchanged, which is the fixpoint
+    because a step reads only its input, or at ``maxiter``.  Returns the
+    completed dense matrix, whose zeros are +0.0, and a
+    :class:`CompletionTrace`.
     """
     if maxiter < 1:
         raise ValueError("maxiter must be at least 1")
-    if stable_window < 1:
-        raise ValueError("stable_window must be at least 1")
     a = np.add(as_dense(initial), 0.0, order="C")
     if a.size and a.min() < 0:
         raise ValueError("input must be nonnegative")
@@ -235,27 +235,15 @@ def complete(initial, maxiter: int = 100, stable_window: int = 3):
     norms = [frobenius_norm(a)]
     counts = []
     changed = None
-    stable = 0
-    first_stable = None
-    converged = False
     for n in range(1, maxiter + 1):
         nxt = completion_step(a, sim, changed=changed)
         norms.append(frobenius_norm(nxt))
         changed = nxt != a
         counts.append(int(np.count_nonzero(changed)))
         if counts[-1] == 0:
-            if stable == 0:
-                first_stable = n
-            stable += 1
-            if stable >= stable_window:
-                converged = True
-                break
-        else:
-            stable = 0
-            first_stable = None
-            a = nxt
-    conviter = first_stable if first_stable is not None else maxiter
-    return a, CompletionTrace(tuple(norms), conviter, converged, ps, tuple(counts))
+            return a, CompletionTrace(tuple(norms), n, True, ps, tuple(counts))
+        a = nxt
+    return a, CompletionTrace(tuple(norms), maxiter, False, ps, tuple(counts))
 
 
 def perfect_pair_percentage(s: SimilarityMatrix) -> float:

@@ -71,13 +71,6 @@ class SparseMatrix:
         r, c = np.nonzero(a)
         return cls(a.shape[0], a.shape[1], r, c, a[r, c])
 
-    @classmethod
-    def from_scipy(cls, m) -> "SparseMatrix":
-        coo = m.tocoo()
-        coo.sum_duplicates()
-        coo.eliminate_zeros()
-        return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
-
     @property
     def nnz(self) -> int:
         return int(self.data.size)
@@ -257,8 +250,6 @@ def truncated_svd(a, k: int) -> SvdFactors:
 
 def rank_k_reconstruct(f: SvdFactors) -> np.ndarray:
     """Product of the truncated factors, the best rank-k approximation."""
-    if f.left.shape[1] != f.rank or f.right.shape[1] != f.rank:
-        raise ValueError("factor shapes inconsistent")
     return (f.left * f.values) @ f.right.T
 
 

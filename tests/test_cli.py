@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -306,7 +307,9 @@ def _drop_digests(idx):
 
 
 def _raw_over_complete(idx):
-    _index(idx.parent, idx, "raw")
+    earlier = (idx / "index.npy").read_bytes()
+    _index(idx.parent, idx, "raw")  # removes the complete index's index.npy
+    (idx / "index.npy").write_bytes(earlier)
 
 
 @pytest.mark.parametrize("spoil", [_edit_mtx, _replace_npy, _truncate_npy, _drop_digests,
@@ -327,6 +330,14 @@ def test_eval_falls_back_to_text_unless_digests_match(corpus_dir, eval_spy, spoi
     want, _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_text", eval_spy, *extra)
     assert got == want
     _assert_same_array(ranked, parsed)
+
+
+@pytest.mark.parametrize("method", ["svd", "complete"])
+def test_index_removes_files_of_an_earlier_method(corpus_dir, method):
+    idx = corpus_dir / "idx"
+    _index(corpus_dir, idx, method)
+    _index(corpus_dir, idx, "raw")
+    assert sorted(p.name for p in idx.iterdir()) == ["index.mtx", "index_meta.json"]
 
 
 def test_sweep_reads_its_matrix_once(corpus_dir, eval_spy):
@@ -611,6 +622,69 @@ def test_config_log_scale_queries_word_reaches_the_queries(run_dir, monkeypatch,
 def test_report_config_hash_follows_result_options(run_dir, argv, extra, hashed):
     changed = _report_hash(run_dir, [*argv, *extra]) != _report_hash(run_dir, argv)
     assert changed == hashed
+
+
+_SPECTRAL = ["cluster", "--matrix", "{d}/points.mtx", "--method", "spectral", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv, line, named", [
+    ([*_SPECTRAL, "--reference", "{d}/points.csv"], "alpah=0.3", "no command has an option 'alpah'"),
+    ([*_SPECTRAL, "--alpha", "0.3"], "kernel=bogus",
+     "kernel='bogus' is not one of gaussian, polynomial, sigmoid"),
+    (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "complete"],
+     "stable_window=3", "no command has an option 'stable_window'"),
+], ids=["misspelt-key", "bad-choice", "removed-option"])
+def test_config_rejects_unknown_keys_and_bad_choices(run_dir, argv, line, named):
+    (run_dir / "run.cfg").write_text(f"# settings\n{line}\n")
+    with pytest.raises(SystemExit, match=re.escape(f"config line 2: {named}")):
+        _run(run_dir, [*argv, "--config", "{d}/run.cfg", "--quiet"])
+
+
+def test_config_key_of_another_command_is_ignored(run_dir):
+    (run_dir / "run.cfg").write_text("seed=1\n")  # a sweep and cluster option
+    via_config = _run(run_dir, [*_EVAL, "--config", "{d}/run.cfg", "--quiet"])
+    plain = _run(run_dir, [*_EVAL, "--quiet"])
+    assert (via_config / "eval.json").read_bytes() == (plain / "eval.json").read_bytes()
+
+
+def _options_read(argv):
+    """Names the command ``argv`` reads from its parsed arguments."""
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = Recorder(**vars(cli._parse_args(argv)))
+    assert args.func(args) == 0
+    return read
+
+
+_CLUSTER_DOCS = ["cluster", "--matrix", "{d}/corpus/matrix.mtx", "--k", "2",
+                 "--reference", "{d}/ref.csv", "--method"]
+_EVERY_METHOD = {
+    "build": [["corpus", "build", "--docs", "{d}/docs.txt"]],
+    "index": [["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "raw"],
+              ["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "svd", "--rank", "2"],
+              ["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "complete"]],
+    "eval": [[*_EVAL, "--csv"]],
+    "sweep": [_SWEEP],
+    "cluster": [[*_SPECTRAL, "--alpha", "0.3", "--reference", "{d}/points.csv"],
+                [*_CLUSTER_DOCS, "bipartite-svd"],
+                [*_CLUSTER_DOCS, "nmf"]],
+}
+
+
+def test_every_option_is_read_by_its_command(run_dir):
+    # an option no command reads changes nothing but the config_hash
+    for words, parser in _leaf_parsers():
+        read = set()
+        for argv in _EVERY_METHOD[words[-1]]:
+            argv = [arg.format(d=run_dir) for arg in argv]
+            read |= _options_read([*argv, "--out", tempfile.mkdtemp(dir=run_dir), "--quiet"])
+        options = {a.dest for a in parser._actions if a.option_strings}
+        assert options - {"help", "config"} - read == set(), words
 
 
 def test_importing_cli_leaves_scipy_unloaded():

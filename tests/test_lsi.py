@@ -148,7 +148,7 @@ def test_complete_orthogonal_rows_fixpoint_is_input():
 
 
 def test_complete_trace_shape_and_monotone_norms():
-    completed, trace = complete(SYNONYMY, maxiter=50, stable_window=3)
+    completed, trace = complete(SYNONYMY, maxiter=50)
     assert trace.converged
     assert trace.conviter <= 50
     assert trace.norms[0] == pytest.approx(frobenius_norm(SYNONYMY), rel=1e-15)
@@ -164,9 +164,20 @@ def test_complete_fixpoint_idempotent_bitwise():
 
 
 def test_complete_maxiter_exhaustion_reports_not_converged():
-    _, trace = complete(POLYSEMY, maxiter=2, stable_window=3)
+    _, trace = complete(SYNONYMY, maxiter=2)
+    assert trace.changed == (8, 1)  # still moving when the cap cuts it off
     assert not trace.converged
-    assert trace.conviter <= 2
+    assert trace.conviter == 2
+
+
+@pytest.mark.parametrize("a, maxiter", [(POLYSEMY, 2), (np.diag([1.0, 2.0, 3.0]), 1)])
+def test_complete_fixpoint_at_the_cap_reports_converged(a, maxiter):
+    # the idle step proves the fixpoint, even when it is the last allowed
+    completed, trace = complete(a, maxiter=maxiter)
+    assert trace.changed[-1] == 0
+    assert trace.converged
+    assert trace.conviter == maxiter
+    _assert_same_bytes(completed, complete(a)[0])
 
 
 def test_complete_norm_collision_does_not_stop_early():
@@ -205,8 +216,6 @@ def test_complete_chain_acquires_weight_after_two_iterations():
 def test_complete_validates_arguments():
     with pytest.raises(ValueError, match="maxiter"):
         complete(np.eye(2), maxiter=0)
-    with pytest.raises(ValueError, match="stable_window"):
-        complete(np.eye(2), stable_window=0)
     with pytest.raises(ValueError, match="nonnegative"):
         complete(np.array([[-1.0]]))
 
@@ -296,19 +305,26 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:.*zero rows")
 def test_complete_equals_full_step_loop_bitwise(kernel_calls):
-    capped = 0
+    capped = windowed = 0
     for a, maxiter, window in _trials():
-        got, trace = complete(a, maxiter=maxiter, stable_window=window)
+        got, trace = complete(a, maxiter=maxiter)
         # zeros come back as +0.0: bytes match the loop on the
         # canonical input, values and trace match it on the raw input
-        want, _ = complete_oracle(a + 0.0, maxiter, window)
-        raw, raw_trace = complete_oracle(a, maxiter, window)
+        want, _ = complete_oracle(a + 0.0, maxiter, 1)
+        raw, raw_trace = complete_oracle(a, maxiter, 1)
         _assert_same_bytes(got, want)
         np.testing.assert_array_equal(got, raw)
         assert trace == raw_trace
+        assert trace.changed.count(0) == int(trace.converged)
         assert not np.any(np.signbit(got) & (got == 0))
+        # a longer stability window only appends idle steps
+        longer, longer_trace = complete_oracle(a + 0.0, maxiter, window)
+        if window > 1 and longer_trace.converged:
+            _assert_same_bytes(got, longer)
+            assert trace.conviter == longer_trace.conviter
+            windowed += 1
         capped += not trace.converged
-    assert capped > 0
+    assert capped > 0 and windowed > 0
     assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
 
 
@@ -358,7 +374,7 @@ def test_complete_norm_collision_matches_full_step_loop():
     for a in (np.array([[1e9, 0.0], [1e9, 2.0]]),
               np.array([[1e9, 0.0, 3.0], [1e9, 2.0, 0.0], [0.0, 1.0, 1e-3]])):
         got, trace = complete(a)
-        want, want_trace = complete_oracle(a)
+        want, want_trace = complete_oracle(a, stable_window=1)
         _assert_same_bytes(got, want)
         assert trace == want_trace
         assert trace.norms[1] == trace.norms[0] and trace.changed[0] > 0
@@ -378,7 +394,7 @@ def test_complete_zipf_medline_size_equals_full_step_loop(kernel_calls):
     a = _zipf_matrix(0)
     assert 1000 <= a.shape[0] <= 1200 and a.shape[1] == 1000
     got, trace = complete(a)
-    want, want_trace = complete_oracle(a)
+    want, want_trace = complete_oracle(a, stable_window=1)
     _assert_same_bytes(got, want)
     assert trace == want_trace
     assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
@@ -392,12 +408,12 @@ def test_step_rejects_mask_of_wrong_shape():
 
 def test_trace_changed_counts_match_full_step_loop():
     for a in (SYNONYMY, POLYSEMY, np.diag([1.0, 2.0, 3.0])):
-        _, trace = complete(a, stable_window=2)
-        _, want = complete_oracle(a, stable_window=2)
+        _, trace = complete(a)
+        _, want = complete_oracle(a, stable_window=1)
         assert trace.changed == want.changed
         assert len(trace.changed) == len(trace.norms) - 1
-        assert trace.changed[-2:] == (0, 0)   # the idle confirmation steps
-        assert all(c > 0 for c in trace.changed[:-2])
+        assert trace.changed[-1] == 0   # the one idle step that proves the fixpoint
+        assert all(c > 0 for c in trace.changed[:-1])
 
 
 def test_trace_changed_defaults_empty_and_is_checked():

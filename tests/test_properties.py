@@ -152,8 +152,8 @@ def test_completion_fixpoint_idempotent_and_deterministic():
     rng = np.random.default_rng(MASTER_SEED + 8)
     for _ in range(TRIALS):
         a = _random_nonnegative(rng)
-        fixed1, trace1 = complete(a, maxiter=60, stable_window=3)
-        fixed2, trace2 = complete(a.copy(), maxiter=60, stable_window=3)
+        fixed1, trace1 = complete(a, maxiter=60)
+        fixed2, trace2 = complete(a.copy(), maxiter=60)
         np.testing.assert_array_equal(fixed1, fixed2)   # bitwise determinism
         assert trace1 == trace2
         if trace1.converged:
