@@ -8,6 +8,9 @@ converted by its option's own type, exactly like the flag.  Every report
 carries a hash of all parsed parameters except ``--out``, ``--quiet``
 and ``--config``, for provenance.  Output files are staged and renamed
 into place, so a failing run leaves no partial outputs behind.
+``eval`` and ``sweep`` read how a matrix's corpus was tokenized from
+the files beside the matrix, never through a recorded path, so a
+corpus or index directory can be moved and used from anywhere.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ class _Stager:
             shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
 
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -122,12 +130,6 @@ def _write_json(path, payload):
 def _info(args, message):
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _load_vocabulary(path) -> corpus_mod.Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        terms = tuple(line.rstrip("\n") for line in fh if line.rstrip("\n"))
-    return corpus_mod.Vocabulary(terms)
 
 
 def _resolve_stoplist(path):
@@ -153,7 +155,7 @@ def cmd_corpus_build(args):
         tdm = corpus_mod.log_scale(tdm)
     stats = corpus_mod.collection_stats(tdm)
     stats["config_hash"] = _config_hash(args)
-    # eval reads the tokenizer settings back to build matching queries
+    # eval and sweep read min_length and log_scale back to build matching queries
     stats.update({
         "command": "corpus-build",
         "docs": args.docs,
@@ -169,6 +171,8 @@ def cmd_corpus_build(args):
         with open(stager.path("docids.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(str(d) for d in tdm.doc_ids) + "\n")
         _write_json(stager.path("stats.json"), stats)
+        with open(stager.path("stoplist.txt"), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{word}\n" for word in sorted(stoplist))
     _info(args, f"built {stats['words']}x{stats['documents']} matrix "
                 f"({stats['nnz_percent']:.3f}% nonzero) in {args.out}")
     return 0
@@ -178,9 +182,8 @@ def cmd_corpus_build(args):
 # index
 
 
-def _sidecar(path, name):
-    candidate = Path(path).parent / name
-    return candidate if candidate.exists() else None
+# the files beside a matrix that describe its corpus; eval and sweep read them
+_CORPUS_FILES = ("vocabulary.txt", "docids.txt", "stats.json", "stoplist.txt")
 
 
 def _sha256(path):
@@ -208,8 +211,8 @@ def _save_binary_index(stager, array, meta):
 def _load_binary_index(index_path, meta):
     """The ``index.npy`` beside ``index_path`` when both files still match
     the digests in ``meta``, else None (the caller parses the text)."""
-    array_path = _sidecar(index_path, "index.npy")
-    if (array_path is None or "array_sha256" not in meta
+    array_path = index_path.parent / "index.npy"
+    if (not array_path.exists() or "array_sha256" not in meta
             or _sha256(index_path) != meta.get("index_sha256")
             or _sha256(array_path) != meta["array_sha256"]):
         return None
@@ -225,18 +228,13 @@ def cmd_index(args):
         "source": str(matrix_path),
         "config_hash": _config_hash(args),
     }
-    vocab_path = args.vocab or _sidecar(matrix_path, "vocabulary.txt")
-    if vocab_path is not None:
-        meta["vocabulary"] = str(vocab_path)
-    docids_path = _sidecar(matrix_path, "docids.txt")
-    if docids_path is not None:
-        meta["docids"] = str(docids_path)
-    stats_path = _sidecar(matrix_path, "stats.json")
-    if stats_path is not None:
-        with open(stats_path, "r", encoding="utf-8") as fh:
-            meta["corpus"] = json.load(fh)
-
     with _Stager(args.out) as stager:
+        for name in _CORPUS_FILES:
+            source = matrix_path.parent / name
+            if name == "vocabulary.txt" and args.vocab is not None:
+                shutil.copyfile(args.vocab, stager.path(name))
+            elif source.exists():
+                shutil.copyfile(source, stager.path(name))
         if args.method == "raw":
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
         elif args.method == "svd":
@@ -274,8 +272,8 @@ def cmd_index(args):
             _write_json(stager.path("trace.json"), trace_payload)
             meta.update(trace_payload)
         _write_json(stager.path("index_meta.json"), meta)
-    for name in ("index.npy", "trace.json", "svd_factors.npz"):
-        if name not in stager.staged:  # left by an earlier run with another method
+    for name in ("index.npy", "trace.json", "svd_factors.npz", *_CORPUS_FILES):
+        if name not in stager.staged:  # left by an earlier run with another method or matrix
             (stager.out_dir / name).unlink(missing_ok=True)
     _info(args, f"wrote {args.method} index to {args.out}")
     return 0
@@ -285,64 +283,58 @@ def cmd_index(args):
 # eval
 
 
-def _load_eval_inputs(args, index_path, meta_path=None, index=None):
-    """Index, queries and judgments for ``eval``; ``sweep`` passes the
-    matrix it has already read as ``index``."""
-    index_path = Path(index_path)
-    if not index_path.exists():
-        raise SystemExit(f"index file not found: {index_path}")
-    meta = {}
-    meta_path = meta_path or _sidecar(index_path, "index_meta.json")
-    if meta_path is not None:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    if index is None:
-        index = _load_binary_index(index_path, meta)
-    if index is None:
-        index = mmio.read_matrix(index_path)
-    vocab_path = args.vocab or meta.get("vocabulary") or _sidecar(index_path, "vocabulary.txt")
-    if vocab_path is None:
-        raise SystemExit("no vocabulary: pass --vocab or keep vocabulary.txt next to the matrix")
-    vocab = _load_vocabulary(vocab_path)
-    index_dense = as_dense(index)
-    if index_dense.shape[0] != len(vocab):
+def _load_queries(args, matrix_path, rows):
+    """Query matrix, query ids, document ids and judgments for the
+    ``rows``-term matrix at ``matrix_path``.
+
+    Queries are tokenized as the matrix's documents were, by the files
+    beside it: vocabulary.txt, docids.txt, stats.json (``min_length``,
+    ``log_scale``) and stoplist.txt; ``--vocab``, ``--stoplist``,
+    ``--min-length`` and ``--log-scale-queries`` override them.  Without
+    stats.json the builtin stop words and default settings apply; without
+    docids.txt, document ids are positional.
+    """
+    home = Path(matrix_path).parent
+    with open(args.vocab or home / "vocabulary.txt", "r", encoding="utf-8") as fh:
+        vocab = corpus_mod.Vocabulary(tuple(line.rstrip("\n") for line in fh if line.rstrip("\n")))
+    if rows != len(vocab):
         raise SystemExit(
-            f"vocabulary axis mismatch: index has {index_dense.shape[0]} rows, "
+            f"vocabulary axis mismatch: index has {rows} rows, "
             f"vocabulary has {len(vocab)} terms"
         )
-    corpus_meta = meta.get("corpus", {})
-    if not corpus_meta:
-        stats_path = _sidecar(index_path, "stats.json")
-        if stats_path is not None:
-            with open(stats_path, "r", encoding="utf-8") as fh:
-                corpus_meta = json.load(fh)
+    stats, stoplist_path = {}, args.stoplist
+    if (home / "stats.json").exists():
+        stats = _read_json(home / "stats.json")
+        if stoplist_path is None:  # missing in directories of earlier versions: an error
+            stoplist_path = home / "stoplist.txt"
     min_length = args.min_length if args.min_length is not None else int(
-        corpus_meta.get("min_length", corpus_mod.DEFAULT_MIN_LENGTH))
+        stats.get("min_length", corpus_mod.DEFAULT_MIN_LENGTH))
     log_scale = args.log_scale_queries
     if log_scale is None:
-        log_scale = bool(corpus_meta.get("log_scale", True))
-    stoplist_src = args.stoplist
-    if stoplist_src is None:
-        recorded = corpus_meta.get("stoplist")
-        stoplist_src = None if recorded in (None, "builtin") else recorded
-    stoplist = _resolve_stoplist(stoplist_src)
+        log_scale = bool(stats.get("log_scale", True))
+    tok = corpus_mod.TokenizerConfig(_resolve_stoplist(stoplist_path), min_length)
     with open(args.queries, "r", encoding="utf-8", errors="replace") as fh:
         queries = corpus_mod.parse_smart(fh.read(), ("W",))
-    tok = corpus_mod.TokenizerConfig(stoplist, min_length)
     qmatrix = corpus_mod.build_query_matrix(queries, vocab, tok, apply_log_scale=log_scale)
     with open(args.qrels, "r", encoding="utf-8") as fh:
         judgments = corpus_mod.parse_qrels(fh.read())
     doc_ids = None
-    docids_path = meta.get("docids") or _sidecar(index_path, "docids.txt")
-    if docids_path and Path(docids_path).exists():
-        with open(docids_path, "r", encoding="utf-8") as fh:
+    if (home / "docids.txt").exists():
+        with open(home / "docids.txt", "r", encoding="utf-8") as fh:
             doc_ids = [int(line) for line in fh if line.strip()]
-    qids = [d.id for d in queries]
-    return index_dense, qmatrix, qids, doc_ids, judgments, meta
+    return qmatrix, [d.id for d in queries], doc_ids, judgments
 
 
 def cmd_eval(args):
-    index, qmatrix, qids, doc_ids, judgments, meta = _load_eval_inputs(args, args.index, args.meta)
+    index_path = Path(args.index)
+    if not index_path.exists():
+        raise SystemExit(f"index file not found: {index_path}")
+    meta_path = Path(args.meta or index_path.parent / "index_meta.json")
+    meta = _read_json(meta_path) if args.meta or meta_path.exists() else {}
+    index = _load_binary_index(index_path, meta)
+    if index is None:
+        index = as_dense(mmio.read_matrix(index_path))
+    qmatrix, qids, doc_ids, judgments = _load_queries(args, index_path, index.shape[0])
     run_meta = {
         "type": meta.get("method", "unknown"),
         "config_hash": _config_hash(args),
@@ -387,8 +379,8 @@ def _parse_ranks(spec: str):
 
 def cmd_sweep(args):
     matrix = mmio.read_matrix(args.matrix)
-    # queries are built against the raw matrix's vocabulary
-    dense, qmatrix, qids, doc_ids, judgments, _ = _load_eval_inputs(args, args.matrix, index=matrix)
+    dense = as_dense(matrix)
+    qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
     ranks = _parse_ranks(args.ranks)
     if ranks[-1] > min(dense.shape):
         raise SystemExit(f"rank {ranks[-1]} exceeds min(M, N) = {min(dense.shape)}")
@@ -463,15 +455,13 @@ def cmd_cluster(args):
     elif args.method == "bipartite-svd":
         run = cluster_mod.bipartite_svd_cluster(dense, args.k, args.seed)
     else:
-        run, trial_labels = cluster_mod._nmf_trials(dense, args.k, args.seed, args.trials)
+        run = cluster_mod.nmf_cluster(dense, args.k, args.seed, args.trials)
 
     scores = None
     if args.reference is not None:
         reference = _read_reference_labels(args.reference)
-        # nmf reports the mean over its trials, as nmf_trial_scores does
-        labelings = trial_labels if args.method == "nmf" else [run.labels]
         scores = cluster_mod.mean_scores(
-            cluster_mod.eval_clustering(labels, reference) for labels in labelings)
+            cluster_mod.eval_clustering(labels, reference) for labels in run.trial_labels)
 
     with _Stager(args.out) as stager:
         with open(stager.path("labels.csv"), "w", encoding="utf-8") as fh:
@@ -509,8 +499,9 @@ def _add_common(p):
 def _add_query_options(p):
     p.add_argument("--points", type=int, default=11, help="interpolation points (default 11)")
     p.add_argument("--vocab", default=None,
-                   help="vocabulary file (default: from index metadata or a sibling vocabulary.txt)")
-    p.add_argument("--stoplist", default=None, help="stop-word file override")
+                   help="vocabulary file (default: vocabulary.txt beside the matrix)")
+    p.add_argument("--stoplist", default=None,
+                   help="stop-word file ('' disables; default: stoplist.txt beside the matrix)")
     p.add_argument("--min-length", type=int, default=None, help="token length override")
     p.add_argument("--log-scale-queries", type=_is_true,
                    default=None, help="override query log damping (true/false)")
@@ -542,7 +533,8 @@ def build_parser():
     index_p.add_argument("--method", required=True, choices=("raw", "svd", "complete"))
     index_p.add_argument("--rank", type=int, default=None, help="rank for --method svd")
     index_p.add_argument("--maxiter", type=int, default=100, help="completion iteration cap")
-    index_p.add_argument("--vocab", default=None, help="vocabulary sidecar to record in metadata")
+    index_p.add_argument("--vocab", default=None,
+                         help="vocabulary file to copy into --out (default: the one beside --matrix)")
     _add_common(index_p)
     index_p.set_defaults(func=cmd_index, parser_ref=index_p)
 

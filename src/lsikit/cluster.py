@@ -21,22 +21,30 @@ from .matrix import as_dense, frobenius_norm, kmeans, nmf_factorize, symmetric_e
 
 @dataclass(frozen=True)
 class ClusteringRun:
-    """Labels produced by one clustering method invocation."""
+    """Labels produced by one clustering method invocation, and those of
+    each of its trials in trial order (a one-trial method: ``(labels,)``)."""
 
     labels: np.ndarray
     k: int
     method: str
     seed: int
-    trials: int = 1
+    trial_labels: tuple = ()
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValueError("labels out of range [0, k)")
-        labels.setflags(write=False)
+        labels, *trials = (np.asarray(lab, dtype=np.int64)
+                           for lab in (self.labels, *self.trial_labels))
+        for lab in (labels, *trials):
+            if lab.size and (lab.min() < 0 or lab.max() >= self.k):
+                raise ValueError("labels out of range [0, k)")
+            lab.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "trial_labels", tuple(trials) or (labels,))
+
+    @property
+    def trials(self) -> int:
+        return len(self.trial_labels)
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,15 @@ def bipartite_svd_cluster(a, k: int, seed: int) -> ClusteringRun:
     return ClusteringRun(labels, k, "bipartite-svd", seed)
 
 
-def _nmf_trials(a, k: int, seed: int, trials: int, iterations: int = 200):
-    """Factorize ``trials`` times, trial t seeded ``seed + t``.
+def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) -> ClusteringRun:
+    """Column-normalize, factorize A ~ BC, assign each document to the
+    row of its largest coefficient (ties to the lowest index).
 
-    Returns the run of the trial with the smallest reconstruction error
-    (the first on ties) and the labels of every trial, in trial order.
+    The factorization runs ``trials`` times, trial t seeded ``seed + t``;
+    ``labels`` are those of the trial with the smallest reconstruction
+    error (the first on ties) and ``trial_labels`` those of every trial.
+    Use :func:`nmf_trial_scores` to average quality metrics over the
+    trials.
     """
     dense = as_dense(a)
     if k < 1:
@@ -118,26 +130,14 @@ def _nmf_trials(a, k: int, seed: int, trials: int, iterations: int = 200):
         err = frobenius_norm(normalized - basis @ coeff)
         if err < best_err:
             best, best_err = t, err
-    return ClusteringRun(trial_labels[best], k, "nmf", seed, trials), trial_labels
-
-
-def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) -> ClusteringRun:
-    """Column-normalize, factorize A ~ BC, assign each document to the
-    row of its largest coefficient (ties to the lowest index).
-
-    With ``trials`` > 1 the factorization is repeated with per-trial
-    seeds ``seed + t`` and the labels of the trial with the smallest
-    reconstruction error are returned; use :func:`nmf_trial_scores` to
-    average quality metrics over the trials.
-    """
-    return _nmf_trials(a, k, seed, trials, iterations)[0]
+    return ClusteringRun(trial_labels[best], k, "nmf", seed, tuple(trial_labels))
 
 
 def nmf_trial_scores(a, reference, k: int, seed: int, trials: int,
                      iterations: int = 200) -> QualityScores:
     """Quality metrics of repeated factorization runs, averaged."""
-    _, trial_labels = _nmf_trials(a, k, seed, trials, iterations)
-    return mean_scores(eval_clustering(labels, reference) for labels in trial_labels)
+    run = nmf_cluster(a, k, seed, trials, iterations)
+    return mean_scores(eval_clustering(labels, reference) for labels in run.trial_labels)
 
 
 def eval_clustering(labels, reference) -> QualityScores:

@@ -82,24 +82,24 @@ class TermDocMatrix:
         return 100.0 * self.matrix.nnz / cells if cells else 0.0
 
 
+def _parse_stoplist(lines) -> frozenset:
+    return frozenset(
+        line.strip().lower()
+        for line in lines
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+
+
 def default_stoplist() -> frozenset:
     """The bundled English stop-word list."""
     text = resources.files("lsikit.data").joinpath("stopwords_en.txt").read_text("ascii")
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
+    return _parse_stoplist(text.splitlines())
 
 
 def load_stoplist(path) -> frozenset:
     """One stop word per line; blank lines and ``#`` comments ignored."""
     with open(path, "r", encoding="utf-8") as fh:
-        return frozenset(
-            line.strip().lower()
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        )
+        return _parse_stoplist(fh)
 
 
 def parse_smart(content: str, fields=("W",)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import SparseMatrix, as_dense
+from .matrix import SparseMatrix, as_dense, require_symmetric
 
 SCHEMES = ("gwassoc", "nassoc", "ncuts", "rassoc", "rcuts")
 _SYM_TOL = 1e-12
@@ -259,10 +259,5 @@ def directed_symmetrize(b, scheme: str = "nassoc", phi: np.ndarray | None = None
 
 def diagonal_shift(h, sigma: float) -> np.ndarray:
     """h + sigma * I: shifts every eigenvalue by sigma, eigenvectors unchanged."""
-    dense = as_dense(h)
-    if dense.shape[0] != dense.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(float(np.abs(dense).max()) if dense.size else 0.0, 1.0)
-    if dense.size and np.abs(dense - dense.T).max() > 1e-10 * scale:
-        raise ValueError("matrix must be symmetric")
+    dense = require_symmetric(h)
     return dense + sigma * np.eye(dense.shape[0])

@@ -191,6 +191,23 @@ def _sign_fix(vectors):
 # public operations
 
 
+def require_symmetric(h) -> np.ndarray:
+    """``h`` as a dense array; ``ValueError`` naming the worst entry unless
+    it is square and max|a - a^T| <= 1e-10 * max(max|a|, 1)."""
+    a = as_dense(h)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix is not square: shape {a.shape}")
+    if a.size:
+        asym = np.abs(a - a.T)
+        worst = float(asym.max())
+        if worst > 1e-10 * max(float(np.abs(a).max()), 1.0):
+            i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+            raise ValueError(
+                f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {worst:.3e}"
+            )
+    return a
+
+
 def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
@@ -202,18 +219,8 @@ def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     Raises ``ValueError`` for non-square or asymmetric input (the
     report includes the worst offending entry) and for k out of range.
     """
-    a = as_dense(h)
+    a = require_symmetric(h)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is not square: shape {a.shape}")
-    asym = np.abs(a - a.T)
-    worst = float(asym.max()) if n else 0.0
-    scale = max(float(np.abs(a).max()) if n else 0.0, 1.0)
-    if worst > 1e-10 * scale:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        raise ValueError(
-            f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {worst:.3e}"
-        )
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     values, vectors = np.linalg.eigh(a)

@@ -88,6 +88,24 @@ def test_corpus_build_outputs(corpus_dir):
     assert docids == ["1", "2", "3", "4", "5", "6"]
 
 
+@pytest.mark.parametrize("stoplist", [None, "", "custom"], ids=["builtin", "none", "custom"])
+def test_corpus_build_writes_the_stop_words_it_used(corpus_dir, monkeypatch, stoplist):
+    build, used = cli.corpus_mod.build_matrix, []
+    monkeypatch.setattr(cli.corpus_mod, "build_matrix",
+                        lambda docs, config: used.append(config.stoplist) or build(docs, config))
+    (corpus_dir / "stop.txt").write_text("# custom list\n  Solar\n\nbread\nthe\n")
+    flag = [] if stoplist is None else ["--stoplist", stoplist and str(corpus_dir / "stop.txt")]
+    out = corpus_dir / "built"
+    assert main(["corpus", "build", "--docs", str(corpus_dir / "docs.txt"), *flag,
+                 "--out", str(out), "--quiet"]) == 0
+    [words] = used
+    assert words == {None: cli.corpus_mod.default_stoplist(), "": frozenset(),
+                     "custom": {"solar", "bread", "the"}}[stoplist]
+    text = (out / "stoplist.txt").read_text()
+    assert text == "".join(f"{word}\n" for word in sorted(words))
+    assert cli.corpus_mod.load_stoplist(out / "stoplist.txt") == words
+
+
 def test_corpus_build_is_idempotent(corpus_dir):
     out2 = corpus_dir / "corpus2"
     rc = main(["corpus", "build", "--docs", str(corpus_dir / "docs.txt"),
@@ -332,12 +350,42 @@ def test_eval_falls_back_to_text_unless_digests_match(corpus_dir, eval_spy, spoi
     _assert_same_array(ranked, parsed)
 
 
+def test_index_copies_the_corpus_files_and_records_no_paths(corpus_dir, tmp_path):
+    corpus, idx = corpus_dir / "corpus", corpus_dir / "idx"
+    (tmp_path / "vocab.txt").write_text((corpus / "vocabulary.txt").read_text())
+    assert main(["index", "--matrix", str(corpus / "matrix.mtx"), "--method", "complete",
+                 "--vocab", str(tmp_path / "vocab.txt"), "--out", str(idx), "--quiet"]) == 0
+    for name in ("docids.txt", "stats.json", "stoplist.txt"):
+        assert (idx / name).read_bytes() == (corpus / name).read_bytes(), name
+    assert (idx / "vocabulary.txt").read_bytes() == (tmp_path / "vocab.txt").read_bytes()
+    meta = json.loads((idx / "index_meta.json").read_text())
+    assert not {"vocabulary", "docids", "corpus"} & set(meta)
+    # an index of a bare matrix leaves no corpus files of the earlier one behind
+    write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+    assert main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "raw",
+                 "--out", str(idx), "--quiet"]) == 0
+    assert sorted(p.name for p in idx.iterdir()) == ["index.mtx", "index_meta.json"]
+
+
+def test_eval_of_a_directory_without_stoplist_names_the_missing_file(corpus_dir, capsys):
+    _index(corpus_dir, corpus_dir / "idx", "raw")
+    (corpus_dir / "idx" / "stoplist.txt").unlink()  # as written before stoplist.txt existed
+    assert main(["eval", "--index", str(corpus_dir / "idx" / "index.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"),
+                 "--out", str(corpus_dir / "e"), "--quiet"]) == 1
+    assert str(corpus_dir / "idx" / "stoplist.txt") in capsys.readouterr().err
+    assert not (corpus_dir / "e" / "eval.json").exists()
+
+
 @pytest.mark.parametrize("method", ["svd", "complete"])
 def test_index_removes_files_of_an_earlier_method(corpus_dir, method):
     idx = corpus_dir / "idx"
     _index(corpus_dir, idx, method)
     _index(corpus_dir, idx, "raw")
-    assert sorted(p.name for p in idx.iterdir()) == ["index.mtx", "index_meta.json"]
+    assert sorted(p.name for p in idx.iterdir()) == [
+        "docids.txt", "index.mtx", "index_meta.json", "stats.json", "stoplist.txt",
+        "vocabulary.txt"]
 
 
 def test_sweep_reads_its_matrix_once(corpus_dir, eval_spy):
@@ -697,3 +745,87 @@ def test_importing_cli_leaves_scipy_unloaded():
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_queries_inherit_the_corpus_tokenizer(corpus_dir, monkeypatch):
+    (corpus_dir / "stop.txt").write_text("# custom list\nSolar\n\nbread\n")
+    corpus = corpus_dir / "custom"
+    assert main(["corpus", "build", "--docs", str(corpus_dir / "docs.txt"), "--stoplist",
+                 str(corpus_dir / "stop.txt"), "--min-length", "4", "--no-log-scale",
+                 "--out", str(corpus), "--quiet"]) == 0
+    for method, rank in (("raw", []), ("svd", ["--rank", "2"]), ("complete", [])):
+        assert main(["index", "--matrix", str(corpus / "matrix.mtx"), "--method", method,
+                     *rank, "--out", str(corpus_dir / method), "--quiet"]) == 0
+    build, seen = cli.corpus_mod.build_query_matrix, []
+
+    def spy(queries, vocab, config, apply_log_scale):
+        seen.append((config.stoplist, config.min_length, apply_log_scale))
+        return build(queries, vocab, config, apply_log_scale=apply_log_scale)
+
+    monkeypatch.setattr(cli.corpus_mod, "build_query_matrix", spy)
+    q = ["--queries", str(corpus_dir / "queries.txt"), "--qrels", str(corpus_dir / "qrels.txt")]
+    for method in ("raw", "svd", "complete"):
+        _run(corpus_dir, ["eval", "--index", str(corpus_dir / method / "index.mtx"), *q, "--quiet"])
+    _run(corpus_dir, ["sweep", "--matrix", str(corpus / "matrix.mtx"), *q, "--ranks", "1:2",
+                      "--quiet"])
+    assert seen == [(frozenset({"solar", "bread"}), 4, False)] * 4
+
+
+_SHIFTED = {  # document ids 1001.., so positional ids would score nothing
+    "docs.txt": re.sub(r"(?m)^\.I (\d)$", r".I 100\1", DOCS),
+    "queries.txt": QUERIES,
+    "qrels.txt": re.sub(r"(?m) (\d)$", r" 100\1", QRELS),
+    "stop.txt": "the\nand\nfor\n",
+}
+_HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
+
+
+def _cli_in(cwd, commands):
+    """Run lsikit ``commands`` in order, in one fresh interpreter working in ``cwd``."""
+    src = str(Path(lsikit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = ("import json, sys\nfrom lsikit.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    if main(argv + ['--quiet']) != 0:\n"
+              "        sys.exit(f'failed: {argv}')\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def _evaluations(tree, out):
+    """eval over every index and sweep of the run tree at path ``tree``."""
+    q = ["--queries", f"{tree}/queries.txt", "--qrels", f"{tree}/qrels.txt"]
+    return [*(["eval", "--index", f"{tree}/{method}/index.mtx", *q, "--out", f"{out}/{method}"]
+              for method in ("raw", "svd", "complete")),
+            ["sweep", "--matrix", f"{tree}/corpus/matrix.mtx", *q, "--ranks", "1:3",
+             "--out", f"{out}/sweep"]]
+
+
+def _reports(out):
+    return {name: _HASH.sub(b'"config_hash": ""', (out / name).read_bytes())
+            for name in ("raw/eval.json", "svd/eval.json", "complete/eval.json",
+                         "sweep/sweep.json")}
+
+
+def test_run_tree_can_move_and_be_evaluated_from_any_directory(tmp_path):
+    here, there = tmp_path / "A", tmp_path / "B"
+    here.mkdir()
+    there.mkdir()
+    for name, text in _SHIFTED.items():
+        (here / name).write_text(text)
+    m = ["--matrix", "corpus/matrix.mtx"]
+    _cli_in(here, [["corpus", "build", "--docs", "docs.txt", "--stoplist", "stop.txt",
+                    "--out", "corpus"],
+                   ["index", *m, "--method", "raw", "--out", "raw"],
+                   ["index", *m, "--method", "svd", "--rank", "2", "--out", "svd"],
+                   ["index", *m, "--method", "complete", "--out", "complete"],
+                   *_evaluations(".", "in_place")])
+    _cli_in(there, _evaluations("../A", "from_b"))
+    here.rename(tmp_path / "moved")
+    _cli_in(there, _evaluations("../moved", "after_move"))
+    want = _reports(tmp_path / "moved" / "in_place")
+    assert json.loads(want["raw/eval.json"])["mean_avgp"] > 0.9
+    assert _reports(there / "from_b") == want
+    assert _reports(there / "after_move") == want

@@ -151,6 +151,26 @@ def test_nmf_deterministic_across_runs():
     assert r1.trials == 3
 
 
+def test_nmf_trial_labels_are_the_one_trial_runs():
+    rng = np.random.default_rng(6)
+    a = rng.random((6, 9)) + 0.1
+    run = nmf_cluster(a, 3, seed=2, trials=3)
+    assert len(run.trial_labels) == run.trials == 3
+    for t, labels in enumerate(run.trial_labels):  # trial t is seeded seed + t
+        np.testing.assert_array_equal(labels, nmf_cluster(a, 3, seed=2 + t).labels)
+    assert any(labels is run.labels for labels in run.trial_labels)
+
+
+def test_single_run_methods_hold_their_one_labelling():
+    a = np.zeros((6, 8))
+    a[:3, :4] = 1.0
+    a[3:, 4:] = 1.0
+    for run in (bipartite_svd_cluster(a, 2, seed=0), nmf_cluster(a, 2, seed=0)):
+        assert run.trials == 1
+        [labels] = run.trial_labels
+        assert labels is run.labels and not labels.flags.writeable
+
+
 def test_nmf_trial_scores_are_averages():
     a = np.zeros((6, 8))
     a[:3, :4] = 1.0

@@ -300,6 +300,17 @@ def test_diagonal_shift_by_smallest_eigenvalue():
     np.testing.assert_allclose(a, b, atol=1e-8)
 
 
+def test_diagonal_shift_rejects_non_square_and_asymmetric_input():
+    with pytest.raises(ValueError, match=r"not square: shape \(2, 3\)"):
+        diagonal_shift(np.ones((2, 3)), 1.0)
+    h = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.5, 1.0]])
+    with pytest.raises(ValueError, match=r"not symmetric: \|a\[1,2\] - a\[2,1\]\| = 5\.000e-01"):
+        diagonal_shift(h, 1.0)
+    # within 1e-10 * max(max|a|, 1) counts as symmetric, as for symmetric_eigen_topk
+    h[1, 2] = 3.5 - 1e-10
+    assert diagonal_shift(h, 0.0)[1, 2] == h[1, 2]
+
+
 def test_affinity_graph_validation():
     with pytest.raises(ValueError, match="square"):
         AffinityGraph(np.ones((2, 3)))
