@@ -223,6 +223,9 @@ def cmd_index(args):
     matrix_path = Path(args.matrix)
     if not matrix_path.exists():
         raise SystemExit(f"matrix file not found: {matrix_path}")
+    vocab_path = Path(args.vocab or matrix_path.parent / "vocabulary.txt")
+    if args.vocab is not None or vocab_path.exists():
+        _read_vocabulary(vocab_path, mmio.read_shape(matrix_path)[0])
     meta = {
         "method": args.method,
         "source": str(matrix_path),
@@ -230,10 +233,8 @@ def cmd_index(args):
     }
     with _Stager(args.out) as stager:
         for name in _CORPUS_FILES:
-            source = matrix_path.parent / name
-            if name == "vocabulary.txt" and args.vocab is not None:
-                shutil.copyfile(args.vocab, stager.path(name))
-            elif source.exists():
+            source = vocab_path if name == "vocabulary.txt" else matrix_path.parent / name
+            if source.exists():
                 shutil.copyfile(source, stager.path(name))
         if args.method == "raw":
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
@@ -283,6 +284,18 @@ def cmd_index(args):
 # eval
 
 
+def _read_vocabulary(path, rows):
+    """The vocabulary at ``path``, which must have one term per matrix row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        vocab = corpus_mod.Vocabulary(tuple(line.rstrip("\n") for line in fh if line.rstrip("\n")))
+    if rows != len(vocab):
+        raise SystemExit(
+            f"vocabulary axis mismatch: index has {rows} rows, "
+            f"vocabulary has {len(vocab)} terms"
+        )
+    return vocab
+
+
 def _load_queries(args, matrix_path, rows):
     """Query matrix, query ids, document ids and judgments for the
     ``rows``-term matrix at ``matrix_path``.
@@ -295,13 +308,7 @@ def _load_queries(args, matrix_path, rows):
     docids.txt, document ids are positional.
     """
     home = Path(matrix_path).parent
-    with open(args.vocab or home / "vocabulary.txt", "r", encoding="utf-8") as fh:
-        vocab = corpus_mod.Vocabulary(tuple(line.rstrip("\n") for line in fh if line.rstrip("\n")))
-    if rows != len(vocab):
-        raise SystemExit(
-            f"vocabulary axis mismatch: index has {rows} rows, "
-            f"vocabulary has {len(vocab)} terms"
-        )
+    vocab = _read_vocabulary(args.vocab or home / "vocabulary.txt", rows)
     stats, stoplist_path = {}, args.stoplist
     if (home / "stats.json").exists():
         stats = _read_json(home / "stats.json")
@@ -378,6 +385,9 @@ def _parse_ranks(spec: str):
 
 
 def cmd_sweep(args):
+    """MAP of every SVD rank, of the completed matrix and of the NMF
+    baseline.  The NMF factorizes the matrix as read, sparse, but
+    retrieval scores the dense M x N product of its factors."""
     matrix = mmio.read_matrix(args.matrix)
     dense = as_dense(matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
@@ -399,7 +409,7 @@ def cmd_sweep(args):
         query_ids=qids, doc_ids=doc_ids).mean_avgp
 
     nmf_rank = args.nmf_rank if args.nmf_rank is not None else ranks[-1]
-    basis, coeff = nmf_factorize(dense, nmf_rank, args.nmf_iterations, args.seed)
+    basis, coeff = nmf_factorize(matrix, nmf_rank, args.nmf_iterations, args.seed)
     nmf_mean = retrieval_mod.evaluate(
         qmatrix, basis @ coeff, judgments, args.points,
         query_ids=qids, doc_ids=doc_ids).mean_avgp
@@ -445,17 +455,17 @@ def _read_reference_labels(path):
 
 
 def cmd_cluster(args):
-    dense = as_dense(mmio.read_matrix(args.matrix))
+    matrix = mmio.read_matrix(args.matrix)
     if args.method == "spectral":
         if args.kernel == "gaussian" and args.alpha is None:
             raise SystemExit("gaussian kernel requires --alpha")
         spec = KernelSpec(args.kernel, c=args.c or 0.0, d=args.d or 1,
                           alpha=args.alpha or 0.0, theta=args.theta or 0.0)
-        run = cluster_mod.spectral_cluster(dense, args.k, spec, args.seed)
+        run = cluster_mod.spectral_cluster(matrix, args.k, spec, args.seed)
     elif args.method == "bipartite-svd":
-        run = cluster_mod.bipartite_svd_cluster(dense, args.k, args.seed)
+        run = cluster_mod.bipartite_svd_cluster(matrix, args.k, args.seed)
     else:
-        run = cluster_mod.nmf_cluster(dense, args.k, args.seed, args.trials)
+        run = cluster_mod.nmf_cluster(matrix, args.k, args.seed, args.trials)
 
     scores = None
     if args.reference is not None:

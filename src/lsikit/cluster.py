@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import KernelSpec, degree_matrix, kernel_affinity, normalize_affinity
-from .matrix import as_dense, frobenius_norm, kmeans, nmf_factorize, symmetric_eigen_topk, truncated_svd
+from .matrix import (as_dense, column_normalize, frobenius_norm, kmeans, nmf_factorize,
+                     symmetric_eigen_topk, truncated_svd)
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,17 @@ def _row_normalize(x):
     return np.where(norms > 0, x / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def _column_normalize(a):
-    # scale column j by (column_j . row_sums)^(-1/2)
-    d = a.T @ a.sum(axis=1)
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise ValueError(f"zero columns {bad.tolist()} cannot be normalized")
-    return a / np.sqrt(d)[None, :]
-
-
 def spectral_cluster(points, k: int, spec: KernelSpec, seed: int) -> ClusteringRun:
     """Kernel affinity -> degree normalization -> leading eigenvectors ->
     row normalization -> k-means on the rows.
 
-    ``points`` holds one data point per column.  Points whose kernel row
-    sums to zero are isolated and rejected.
+    ``points`` holds one data point per column, dense or sparse (a
+    :class:`SparseMatrix` is densified for the kernel).  Points whose
+    kernel row sums to zero are isolated and rejected.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    g = kernel_affinity(points, spec)
+    g = kernel_affinity(as_dense(points), spec)
     deg = degree_matrix(g)
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:
@@ -94,13 +87,15 @@ def spectral_cluster(points, k: int, spec: KernelSpec, seed: int) -> ClusteringR
 
 def bipartite_svd_cluster(a, k: int, seed: int) -> ClusteringRun:
     """Column-normalize, take the first k right singular vectors,
-    row-normalize them, k-means the rows.  Returns document labels."""
-    dense = as_dense(a)
+    row-normalize them, k-means the rows.  Returns document labels.
+
+    ``a`` may be dense or sparse; the normalized matrix is densified for
+    the LAPACK SVD."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > dense.shape[1]:
-        raise ValueError(f"k={k} exceeds the number of documents {dense.shape[1]}")
-    normalized = _column_normalize(dense)
+    normalized = column_normalize(a)
+    if k > normalized.cols:
+        raise ValueError(f"k={k} exceeds the number of documents {normalized.cols}")
     factors = truncated_svd(normalized, k)
     embedding = _row_normalize(factors.right)
     labels = kmeans(embedding, k, seed)
@@ -116,18 +111,23 @@ def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) ->
     error (the first on ties) and ``trial_labels`` those of every trial.
     Use :func:`nmf_trial_scores` to average quality metrics over the
     trials.
+
+    ``a`` may be dense or sparse; it is normalized and factorized without
+    densifying.  The one dense M x N buffer is each trial's residual
+    B C - A, from which its reconstruction error is taken.
     """
-    dense = as_dense(a)
     if k < 1:
         raise ValueError("k must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    normalized = _column_normalize(dense)
+    normalized = column_normalize(a)
     trial_labels, best, best_err = [], 0, np.inf
     for t in range(trials):
         basis, coeff = nmf_factorize(normalized, k, iterations, seed + t)
         trial_labels.append(np.argmax(coeff, axis=0))
-        err = frobenius_norm(normalized - basis @ coeff)
+        residual = basis @ coeff
+        residual[normalized.row, normalized.col] -= normalized.data
+        err = frobenius_norm(residual)
         if err < best_err:
             best, best_err = t, err
     return ClusteringRun(trial_labels[best], k, "nmf", seed, tuple(trial_labels))

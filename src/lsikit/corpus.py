@@ -20,6 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .matrix import SparseMatrix
+from .matrix import column_normalize as normalize_matrix_columns
 
 KNOWN_FIELDS = ("T", "A", "B", "W")
 DEFAULT_MIN_LENGTH = 2
@@ -248,17 +249,9 @@ def log_scale(m: TermDocMatrix) -> TermDocMatrix:
 
 
 def column_normalize(m: TermDocMatrix) -> TermDocMatrix:
-    """Scale each column j by the inverse square root of the j-th row sum
-    of the Gram matrix (column j dotted with the vector of row sums)."""
-    csr = m.matrix.tocsr()
-    row_sums = np.asarray(csr.sum(axis=1)).ravel()
-    d = csr.T @ row_sums
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise ValueError(f"zero columns {bad.tolist()} cannot be normalized")
-    s = m.matrix
-    scaled = SparseMatrix(s.rows, s.cols, s.row, s.col, s.data / np.sqrt(d[s.col]))
-    return TermDocMatrix(scaled, m.vocabulary, m.doc_ids)
+    """:func:`lsikit.matrix.column_normalize` of the matrix, keeping its
+    vocabulary and document ids."""
+    return TermDocMatrix(normalize_matrix_columns(m.matrix), m.vocabulary, m.doc_ids)
 
 
 def build_query_matrix(queries, vocab: Vocabulary, config: TokenizerConfig = TokenizerConfig(),

@@ -17,6 +17,7 @@ import numpy as np
 EPS = np.finfo(float).eps
 
 _NMF_GUARD = 1e-9
+_NMF_TINY = np.finfo(float).tiny  # smallest normal float64
 _ORTHO_TOL = 1e-8
 
 
@@ -96,6 +97,10 @@ def as_dense(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     return a
+
+
+def _as_sparse(m) -> SparseMatrix:
+    return m if isinstance(m, SparseMatrix) else SparseMatrix.from_dense(m)
 
 
 @dataclass(frozen=True)
@@ -260,15 +265,32 @@ def rank_k_reconstruct(f: SvdFactors) -> np.ndarray:
     return (f.left * f.values) @ f.right.T
 
 
+def column_normalize(a) -> SparseMatrix:
+    """Scale each column j of a dense or sparse matrix by the inverse
+    square root of column j dotted with the vector of row sums (the j-th
+    row sum of the Gram matrix A^T A).  The result is sparse: a
+    :class:`SparseMatrix` input is never densified."""
+    s = _as_sparse(a)
+    csr = s.tocsr()
+    row_sums = np.asarray(csr.sum(axis=1)).ravel()
+    d = csr.T @ row_sums
+    bad = np.flatnonzero(d <= 0)
+    if bad.size:
+        raise ValueError(f"zero columns {bad.tolist()} cannot be normalized")
+    return SparseMatrix(s.rows, s.cols, s.row, s.col, s.data / np.sqrt(d[s.col]))
+
+
 def _nmf_checked(a, k, iterations):
-    dense = as_dense(a)
-    if np.any(dense < 0):
+    """``a`` as a :class:`SparseMatrix`, as CSR and as CSR of its transpose."""
+    s = _as_sparse(a)
+    if s.nnz and s.data.min() < 0:
         raise ValueError("input must be nonnegative")
     if k < 1:
         raise ValueError("k must be at least 1")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    return dense
+    csr = s.tocsr()
+    return s, csr, csr.T.tocsr()
 
 
 def _nmf_init(m, n, k, seed):
@@ -277,37 +299,50 @@ def _nmf_init(m, n, k, seed):
     return 1.0 - rng.random((m, k)), 1.0 - rng.random((k, n))
 
 
-def _nmf_step(a, b, c):
-    c *= (b.T @ a) / (b.T @ b @ c + _NMF_GUARD)
+def _nmf_step(a, at, b, c):
+    # A enters only through B^T A = (A^T B)^T and A C^T, both taken on CSR.
+    # Factor entries decay towards 0 and underflow; those below the smallest
+    # normal float are set to 0 at once, because arithmetic on subnormals is
+    # several times slower and adds nothing to a sum of normal-range terms.
+    c *= (at @ b).T / (b.T @ b @ c + _NMF_GUARD)
+    c *= c >= _NMF_TINY
     b *= (a @ c.T) / (b @ (c @ c.T) + _NMF_GUARD)
+    b *= b >= _NMF_TINY
     return b, c
 
 
 def nmf_factorize(a, k: int, iterations: int, seed: int):
     """Nonnegative factorization A ~ B C by multiplicative updates.
 
+    ``a`` is a dense array or a :class:`SparseMatrix`; either way the two
+    products with A run on its CSR form, so a sparse input is never
+    densified and a dense one gives the same factors as its sparse twin.
+    Factor entries below the smallest normal float64 are set to 0.
     Both factors stay entrywise nonnegative and the Frobenius
     reconstruction error is non-increasing across iterations.  Fixed
     seed gives bitwise-identical factors.
 
     Returns ``(basis, coefficients)`` of shapes (M, k) and (k, N).
     """
-    dense = _nmf_checked(a, k, iterations)
-    b, c = _nmf_init(dense.shape[0], dense.shape[1], k, seed)
+    _, csr, csr_t = _nmf_checked(a, k, iterations)
+    b, c = _nmf_init(*csr.shape, k, seed)
     for _ in range(iterations):
-        b, c = _nmf_step(dense, b, c)
+        b, c = _nmf_step(csr, csr_t, b, c)
     return b, c
 
 
 def nmf_objective_trace(a, k: int, iterations: int, seed: int) -> np.ndarray:
     """Frobenius error after each multiplicative update, same run as
-    :func:`nmf_factorize` with identical arguments."""
-    dense = _nmf_checked(a, k, iterations)
-    b, c = _nmf_init(dense.shape[0], dense.shape[1], k, seed)
+    :func:`nmf_factorize` with identical arguments.  Each error is taken
+    over a dense M x N residual B C - A."""
+    s, csr, csr_t = _nmf_checked(a, k, iterations)
+    b, c = _nmf_init(*csr.shape, k, seed)
     errors = np.empty(iterations)
     for i in range(iterations):
-        b, c = _nmf_step(dense, b, c)
-        errors[i] = np.linalg.norm(dense - b @ c)
+        b, c = _nmf_step(csr, csr_t, b, c)
+        residual = b @ c
+        residual[s.row, s.col] -= s.data
+        errors[i] = np.linalg.norm(residual)
     return errors
 
 

@@ -71,6 +71,28 @@ def _array_body(a):
         yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().replace(b"\0", b"")
 
 
+def _read_header(fh):
+    """Layout and size-line integers of the file open at ``fh``, which is
+    left just past the size line."""
+    layout = _parse_banner(fh.readline())
+    for line in fh:
+        size_line = line.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
+        raise ValueError("missing size line")
+    dims = size_line.split()
+    if len(dims) != (3 if layout == "coordinate" else 2):
+        raise ValueError(f"bad {layout} size line: {size_line!r}")
+    return layout, tuple(int(x) for x in dims)
+
+
+def read_shape(path):
+    """``(rows, cols)`` of a Matrix Market file, from its size line alone."""
+    with open(path, "r", encoding="ascii") as fh:
+        return _read_header(fh)[1][:2]
+
+
 def read_matrix(path):
     """Read a Matrix Market file.
 
@@ -80,34 +102,18 @@ def read_matrix(path):
     numpy cannot parse whole, such as ``1_0``, raises ``ValueError``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        banner = fh.readline()
-        layout = _parse_banner(banner)
-        size_line = None
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
-        if size_line is None:
-            raise ValueError("missing size line")
+        layout, dims = _read_header(fh)
         rest = fh.read()
     if layout == "coordinate":
         body = rest.split()
-        dims = size_line.split()
-        if len(dims) != 3:
-            raise ValueError(f"bad coordinate size line: {size_line!r}")
-        rows, cols, nnz = (int(x) for x in dims)
+        rows, cols, nnz = dims
         if len(body) != 3 * nnz:
             raise ValueError(f"expected {3 * nnz} tokens, found {len(body)}")
         r = np.array(body[0::3], dtype=np.int64) - 1
         c = np.array(body[1::3], dtype=np.int64) - 1
         v = np.array(body[2::3], dtype=np.float64)
         return SparseMatrix(rows, cols, r, c, v)
-    dims = size_line.split()
-    if len(dims) != 2:
-        raise ValueError(f"bad array size line: {size_line!r}")
-    rows, cols = (int(x) for x in dims)
+    rows, cols = dims
     if rest.isspace():
         rest = ""  # numpy parses an all-blank string as [-1.0]
     with warnings.catch_warnings():

@@ -5,7 +5,8 @@ LAPACK via numpy, direct evaluation of the unrolled propagation
 chains, cyclic Jacobi solvers independent of the LAPACK the library
 calls, the full per-row completion step and its fixpoint loop, a
 label-setting completion closure, a per-element Matrix Market array
-writer and reader, and per-query retrieval evaluation."""
+writer and reader, per-query retrieval evaluation, and the dense
+multiplicative-update NMF loop."""
 
 import heapq
 import warnings
@@ -289,3 +290,16 @@ def evaluate_oracle(queries, index, judgments, points=11, query_ids=None, doc_id
         per_query.append((qid, iap_loop_oracle(ranking, relevant, points)))
     mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
     return tuple(per_query), mean, tuple(skipped)
+
+
+def nmf_dense_oracle(a, k, iterations, seed):
+    """Multiplicative-update NMF with A dense in both of its products:
+    same initial factors, update order and guard as ``nmf_factorize``."""
+    dense = as_dense(a)
+    rng = np.random.default_rng(seed)
+    b = 1.0 - rng.random((dense.shape[0], k))
+    c = 1.0 - rng.random((k, dense.shape[1]))
+    for _ in range(iterations):
+        c *= (b.T @ dense) / (b.T @ b @ c + 1e-9)
+        b *= (dense @ c.T) / (b @ (c @ c.T) + 1e-9)
+    return b, c

@@ -243,6 +243,20 @@ def test_eval_vocabulary_mismatch_names_axis(corpus_dir, tmp_path):
               "--out", str(corpus_dir / "eval_bad"), "--quiet"])
 
 
+@pytest.mark.parametrize("method", ["raw", "svd", "complete"])
+def test_index_rejects_a_vocabulary_of_another_size(corpus_dir, tmp_path, method):
+    bad_vocab = tmp_path / "vocab.txt"
+    bad_vocab.write_text("alpha\nbeta\n")
+    idx = corpus_dir / "idx_bad"
+    rank = ["--rank", "2"] if method == "svd" else []
+    with pytest.raises(SystemExit, match="vocabulary axis mismatch: index has .* rows, "
+                                         "vocabulary has 2 terms"):
+        main(["index", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+              "--method", method, *rank, "--vocab", str(bad_vocab),
+              "--out", str(idx), "--quiet"])
+    assert not idx.exists()
+
+
 @pytest.fixture
 def eval_spy(monkeypatch):
     """Counts ``mmio.read_matrix`` calls and keeps the arrays ``evaluate`` ranks."""
@@ -478,6 +492,36 @@ def test_cluster_nmf_with_trials(tmp_path, monkeypatch):
     want = cluster_mod.nmf_trial_scores(a, [0] * 4 + [1] * 4, 2, 0, 5)
     assert scores["scores"] == {"mi": want.mutual_information, "entropy": want.entropy,
                                 "purity": want.purity, "fmeasure": want.f_measure}
+
+
+def test_nmf_commands_never_densify_the_matrix(corpus_dir, monkeypatch):
+    densified, factorized, in_nmf = [], [], []
+    toarray, factorize = SparseMatrix.toarray, cluster_mod.nmf_factorize
+
+    def spy_toarray(self):
+        densified.append(bool(in_nmf))
+        return toarray(self)
+
+    def spy_factorize(a, *args):
+        factorized.append(type(a))
+        in_nmf.append(True)
+        try:
+            return factorize(a, *args)
+        finally:
+            in_nmf.pop()
+
+    monkeypatch.setattr(SparseMatrix, "toarray", spy_toarray)
+    monkeypatch.setattr(cluster_mod, "nmf_factorize", spy_factorize)
+    monkeypatch.setattr(cli, "nmf_factorize", spy_factorize)
+    matrix = str(corpus_dir / "corpus" / "matrix.mtx")
+    assert main(["cluster", "--matrix", matrix, "--method", "nmf", "--k", "2",
+                 "--trials", "2", "--out", str(corpus_dir / "c"), "--quiet"]) == 0
+    assert factorized == [SparseMatrix] * 2 and densified == []
+    assert main(["sweep", "--matrix", matrix, "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"), "--ranks", "1:2",
+                 "--out", str(corpus_dir / "s"), "--quiet"]) == 0
+    # the SVD densifies the matrix; the NMF baseline gets it sparse
+    assert factorized == [SparseMatrix] * 3 and True not in densified
 
 
 def test_cluster_without_reference_writes_labels_only(tmp_path):

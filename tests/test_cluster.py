@@ -16,9 +16,8 @@ from lsikit.cluster import (
     two_moons,
     two_rings,
 )
-from lsikit.cluster import _column_normalize
 from lsikit.graphs import AffinityGraph, KernelSpec, normalize_affinity
-from lsikit.matrix import kmeans, nmf_factorize, symmetric_eigen_topk
+from lsikit.matrix import column_normalize, kmeans, nmf_factorize, symmetric_eigen_topk
 
 from conftest import SYNONYMY
 
@@ -138,7 +137,7 @@ def test_nmf_labels_are_argmax_of_coefficients():
     rng = np.random.default_rng(5)
     a = rng.random((5, 7)) + 0.1
     run = nmf_cluster(a, 2, seed=11, trials=1, iterations=50)
-    _, coeff = nmf_factorize(_column_normalize(a), 2, 50, seed=11)
+    _, coeff = nmf_factorize(column_normalize(a), 2, 50, seed=11)
     np.testing.assert_array_equal(run.labels, np.argmax(coeff, axis=0))
 
 

@@ -4,8 +4,9 @@ SMART collections (Medline, Cranfield, CISI).
 Deselected by default (see the ``slow`` marker in pyproject.toml).  On
 a synthetic collection of Medline's shape (8237 x 1033) the costly steps
 took: completion 38.6 s, the full SVD 3.6 s, a 60-rank reconstruct-and-
-evaluate sweep 9.8 s and NMF 12.7 s, about two minutes per collection
-(2-vCPU Xeon, OpenBLAS 0.3.31); the real collections were not run.  Run
+evaluate sweep 9.8 s and the rank-60 NMF 5.8 s with its A-products on
+CSR, about two minutes per collection (2-vCPU Xeon, numpy 2.4.6,
+OpenBLAS 0.3.31); the real collections were not run.  Run
 with ``pytest -m slow`` after placing <NAME>.ALL/.QRY/.REL files under
 the data directory (or $SMART_DATA_DIR).
 """

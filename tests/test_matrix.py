@@ -1,6 +1,7 @@
 """Unit tests for the matrix kernels: norms, eigen, SVD, NMF, k-means."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lsikit.matrix import (
     EigenPairs,
     SparseMatrix,
     SvdFactors,
+    column_normalize,
     frobenius_norm,
     kmeans,
     nmf_factorize,
@@ -19,6 +21,7 @@ from lsikit.matrix import (
 )
 
 from conftest import SYNONYMY, POLYSEMY, SYNONYMY_RANK2, POLYSEMY_RANK2
+from oracle_utils import nmf_dense_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +284,62 @@ def test_nmf_objective_monotone():
     a = rng.random((8, 6))
     errors = nmf_objective_trace(a, 3, 60, seed=3)
     assert np.all(np.diff(errors) <= 1e-10)
+
+
+def _random_sparse(rng, m, n, density):
+    # every column gets an entry, as every document has a term
+    flat = np.union1d(rng.choice(m * n, int(density * m * n), replace=False),
+                      np.arange(n) % m * n + np.arange(n))
+    return SparseMatrix(m, n, flat // n, flat % n, rng.random(flat.size) + 0.05)
+
+
+@pytest.mark.parametrize("m, n, density, k, iterations", [
+    (30, 12, 0.2, 3, 60),
+    (120, 40, 0.03, 8, 100),
+    (400, 82, 0.023, 16, 200),
+    (50, 200, 0.05, 5, 80),
+    (9, 9, 0.6, 9, 40),
+])
+def test_nmf_on_csr_matches_the_dense_loop(m, n, density, k, iterations):
+    # the oracle sums the A-products in another order and keeps subnormal entries
+    a = _random_sparse(np.random.default_rng(m * n + k), m, n, density)
+    b, c = nmf_factorize(a, k, iterations, seed=k)
+    ob, oc = nmf_dense_oracle(a, k, iterations, seed=k)
+    for got, want in ((b, ob), (c, oc)):
+        # entries driven towards 0 carry only absolute accuracy
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        assert not np.any((got > 0) & (got < np.finfo(float).tiny))
+
+
+def test_nmf_sparse_input_and_its_dense_twin_agree_bitwise():
+    rng = np.random.default_rng(21)
+    for m, n, density in ((40, 15, 0.1), (15, 60, 0.3)):
+        s = _random_sparse(rng, m, n, density)
+        order = rng.permutation(s.nnz)  # triplet order must not matter
+        shuffled = SparseMatrix(m, n, s.row[order], s.col[order], s.data[order])
+        for a in (s.toarray(), shuffled):
+            for got, want in zip(nmf_factorize(a, 4, 30, seed=2), nmf_factorize(s, 4, 30, seed=2)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(nmf_objective_trace(a, 4, 10, seed=2),
+                                          nmf_objective_trace(s, 4, 10, seed=2))
+            np.testing.assert_array_equal(column_normalize(a).toarray(),
+                                          column_normalize(s).toarray())
+
+
+def test_nmf_of_a_large_sparse_matrix_stays_sparse():
+    rng = np.random.default_rng(23)
+    a = _random_sparse(rng, 20_000, 1_500, 0.001)
+    import scipy.sparse  # noqa: F401  (its import is not the factorization's memory)
+
+    tracemalloc.start()
+    try:
+        b, c = nmf_factorize(column_normalize(a), 2, 3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.shape == (20_000, 2) and c.shape == (2, 1_500)
+    # the dense 20000 x 1500 matrix alone would take 240 MB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
