@@ -18,6 +18,13 @@ previous step changed.  It scatters them one by one or runs the dense
 per-row update over the changed rows and columns, whichever its work
 estimate says is cheaper; both give the full step's result bit for
 bit, and the idle step that confirms the fixpoint costs one copy.
+
+The dense update allocates nothing per target row.  It gathers a row's
+similarity neighbours into one preallocated buffer, at most
+``_GATHER_ROWS`` at a time, scales them in place by their similarities,
+reduces them with max into a preallocated row and folds that into the
+output row once.  max is exact, so the bytes do not depend on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -132,10 +139,18 @@ def word_similarity(a) -> SimilarityMatrix:
 _SCATTER_CHUNK = 1 << 16
 
 # Cost of one scatter push in dense-block candidates.  Measured with
-# numpy 2.4 on a 2-core x86-64 Xeon: a push cost 34-87 ns and a
-# candidate 5-6 ns on a 1.1k x 1k Medline-size matrix, 18-30 ns and
-# 6-7 ns on a 1.2k x 82 ADI-size one.
+# numpy 2.4 on a 2-core x86-64 Xeon over the steps of a completion: a
+# push cost 16-31 ns and a candidate 2.2-2.5 ns on a 1.1k x 1k
+# Medline-size matrix, 17-22 ns and 5.2-5.4 ns on a 1.2k x 82 ADI-size
+# one.  Values from 3 to 8 pick the faster kernel at every step of both
+# with over 10**4 pushes; above 8.5 the fourth ADI-size step takes the
+# dense block at twice the scatter's time.
 _PUSH_COST = 6
+
+# Neighbour rows the dense block gathers at a time, so its buffer is
+# one (_GATHER_ROWS, width) array whatever a word's degree.
+# On a Medline-size block 64 and 128 were fastest; 16 was 1.1-2x slower.
+_GATHER_ROWS = 128
 
 
 def completion_step(current, s: SimilarityMatrix, *, changed=None) -> np.ndarray:
@@ -208,11 +223,31 @@ def _dense_block(out, cur, s, rows, cols):
     into = s.matrix[:, rows]
     block = cur[np.ix_(rows, cols)]
     block += 0.0  # a -0.0 entry would give -0.0 candidates
-    indptr, indices, data = into.indptr, into.indices, into.data
-    for i in np.flatnonzero(np.diff(indptr)):
-        lo, hi = indptr[i], indptr[i + 1]
-        candidates = data[lo:hi, None] * block[indices[lo:hi]]
-        out[i, cols] = np.maximum(out[i, cols], candidates.max(axis=0))
+    indptr, indices, weights = into.indptr.tolist(), into.indices, into.data[:, None]
+    buf = np.empty((_GATHER_ROWS, cols.size))
+    acc = np.empty(cols.size)
+    best = np.empty(cols.size)
+    every = cols.size == out.shape[1]
+    for i in np.flatnonzero(np.diff(into.indptr)).tolist():
+        first, hi = indptr[i], indptr[i + 1]
+        for lo in range(first, hi, _GATHER_ROWS):
+            stop = min(lo + _GATHER_ROWS, hi)
+            gathered = buf[:stop - lo]
+            # mode="clip" fills the buffer in place; "raise" goes through a copy
+            np.take(block, indices[lo:stop], axis=0, out=gathered, mode="clip")
+            gathered *= weights[lo:stop]
+            if lo == first:
+                np.maximum.reduce(gathered, axis=0, out=acc)
+            else:
+                np.maximum.reduce(gathered, axis=0, out=best)
+                np.maximum(acc, best, out=acc)
+        row = out[i]
+        if every:
+            np.maximum(row, acc, out=row)
+        else:
+            np.take(row, cols, out=best, mode="clip")
+            np.maximum(best, acc, out=best)
+            row[cols] = best
 
 
 def complete(initial, maxiter: int = 100):

@@ -295,9 +295,9 @@ def kernel_calls(monkeypatch):
     for name in calls:
         inner = getattr(lsi, name)
 
-        def counted(*args, _inner=inner, _name=name):
+        def counted(*args, _inner=inner, _name=name, **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(lsi, name, counted)
     return calls
@@ -346,15 +346,21 @@ def test_complete_equals_label_setting_closure_bitwise(monkeypatch, push_cost):
     assert raised > CLOSURE_TRIALS // 2
 
 
-@pytest.mark.parametrize("push_cost,chunk", [(None, None), (0, 3), (10**9, None)])
+@pytest.mark.parametrize("push_cost,chunk,gather",
+                         [(None, None, None), (0, 3, None), (10**9, None, None),
+                          (10**9, None, 1), (10**9, None, 3)],
+                         ids=["None-None", "0-3", "1000000000-None",
+                              "1000000000-gather1", "1000000000-gather3"])
 @pytest.mark.filterwarnings("ignore:.*zero rows")
-def test_step_with_and_without_mask_equals_full_step(monkeypatch, push_cost, chunk):
+def test_step_with_and_without_mask_equals_full_step(monkeypatch, push_cost, chunk, gather):
     # push_cost 0 forces the scatter (here in chunks of 3 pushes),
-    # 10**9 the dense block
+    # 10**9 the dense block (here also gathering 1 or 3 neighbours at a time)
     if push_cost is not None:
         monkeypatch.setattr(lsi, "_PUSH_COST", push_cost)
     if chunk is not None:
         monkeypatch.setattr(lsi, "_SCATTER_CHUNK", chunk)
+    if gather is not None:
+        monkeypatch.setattr(lsi, "_GATHER_ROWS", gather)
     for a, _, _ in _trials():
         s = word_similarity(a)
         prev = a + 0.0
