@@ -32,8 +32,7 @@ from . import lsi as lsi_mod
 from . import mmio
 from . import retrieval as retrieval_mod
 from .graphs import KernelSpec
-from .matrix import rank_k_reconstruct, truncated_svd
-from .matrix import SvdFactors, as_dense, nmf_factorize
+from .matrix import as_dense, nmf_factorize, rank_k_reconstruct, truncated_svd
 
 
 # dispatch entries and options that do not change what a run computes
@@ -223,9 +222,15 @@ def cmd_index(args):
     matrix_path = Path(args.matrix)
     if not matrix_path.exists():
         raise SystemExit(f"matrix file not found: {matrix_path}")
+    shape = mmio.read_shape(matrix_path)
+    if args.method == "svd":
+        if args.rank is None:
+            raise SystemExit("svd method requires --rank")
+        if not 1 <= args.rank <= min(shape):
+            raise SystemExit(f"invalid rank {args.rank}: must lie in [1, {min(shape)}]")
     vocab_path = Path(args.vocab or matrix_path.parent / "vocabulary.txt")
     if args.vocab is not None or vocab_path.exists():
-        _read_vocabulary(vocab_path, mmio.read_shape(matrix_path)[0])
+        _read_vocabulary(vocab_path, shape[0])
     meta = {
         "method": args.method,
         "source": str(matrix_path),
@@ -239,25 +244,14 @@ def cmd_index(args):
         if args.method == "raw":
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
         elif args.method == "svd":
-            m = mmio.read_matrix(matrix_path)
-            dense = as_dense(m)
-            if args.rank is None:
-                raise SystemExit("svd method requires --rank")
-            if not 1 <= args.rank <= min(dense.shape):
-                raise SystemExit(
-                    f"invalid rank {args.rank}: must lie in [1, {min(dense.shape)}]"
-                )
-            full = truncated_svd(dense, min(dense.shape))
-            factors = SvdFactors(full.left[:, : args.rank],
-                                 full.values[: args.rank],
-                                 full.right[:, : args.rank])
-            approx = rank_k_reconstruct(factors)
+            full = truncated_svd(mmio.read_matrix(matrix_path), min(shape))
+            approx = rank_k_reconstruct(full, args.rank)
             mmio.write_matrix(stager.path("index.mtx"), approx)
             _save_binary_index(stager, approx, meta)
             np.savez(stager.path("svd_factors.npz"), left=full.left,
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
-            meta["singular_values"] = [float(v) for v in factors.values]
+            meta["singular_values"] = [float(v) for v in full.values[: args.rank]]
         else:
             m = mmio.read_matrix(matrix_path)
             completed, trace = lsi_mod.complete(m, args.maxiter)
@@ -336,8 +330,8 @@ def cmd_eval(args):
     index_path = Path(args.index)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
-    meta_path = Path(args.meta or index_path.parent / "index_meta.json")
-    meta = _read_json(meta_path) if args.meta or meta_path.exists() else {}
+    meta_path = index_path.parent / "index_meta.json"
+    meta = _read_json(meta_path) if meta_path.exists() else {}
     index = _load_binary_index(index_path, meta)
     if index is None:
         index = as_dense(mmio.read_matrix(index_path))
@@ -367,41 +361,39 @@ def cmd_eval(args):
 # sweep
 
 
-def _parse_ranks(spec: str):
-    ranks = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            ranks.extend(range(int(lo), int(hi) + 1))
-        else:
-            ranks.append(int(part))
-    ranks = sorted(set(ranks))
-    if not ranks or ranks[0] < 1:
+def _parse_ranks(spec: str, limit: int):
+    """The sorted distinct ranks of ``spec``, comma-separated ranks and
+    ``lo:hi`` ranges.  Every part's endpoints are checked against
+    [1, ``limit``] before any range is expanded."""
+    ranks = set()
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        ends = [int(end) for end in part.split(":", 1)]
+        lo, hi = ends[0], ends[-1]
+        if lo < 1:
+            raise SystemExit(f"invalid rank list {spec!r}: rank {lo} is below 1")
+        if hi > limit:
+            raise SystemExit(f"rank {hi} exceeds min(M, N) = {limit}")
+        if lo > hi:
+            raise SystemExit(f"invalid rank list {spec!r}: range {part} is empty")
+        ranks.update(range(lo, hi + 1))
+    if not ranks:
         raise SystemExit(f"invalid rank list {spec!r}")
-    return ranks
+    return sorted(ranks)
 
 
 def cmd_sweep(args):
     """MAP of every SVD rank, of the completed matrix and of the NMF
     baseline.  The NMF factorizes the matrix as read, sparse, but
     retrieval scores the dense M x N product of its factors."""
+    ranks = _parse_ranks(args.ranks, min(mmio.read_shape(args.matrix)))
     matrix = mmio.read_matrix(args.matrix)
     dense = as_dense(matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
-    ranks = _parse_ranks(args.ranks)
-    if ranks[-1] > min(dense.shape):
-        raise SystemExit(f"rank {ranks[-1]} exceeds min(M, N) = {min(dense.shape)}")
 
     full = truncated_svd(dense, min(dense.shape))
-    svd_means = []
-    for k in ranks:
-        approx = (full.left[:, :k] * full.values[:k]) @ full.right[:, :k].T
-        rep = retrieval_mod.evaluate(qmatrix, approx, judgments, args.points,
-                                     query_ids=qids, doc_ids=doc_ids)
-        svd_means.append(rep.mean_avgp)
+    svd_means = [retrieval_mod.evaluate(qmatrix, rank_k_reconstruct(full, k), judgments,
+                                        args.points, query_ids=qids, doc_ids=doc_ids).mean_avgp
+                 for k in ranks]
 
     completed, trace = lsi_mod.complete(matrix, args.maxiter)
     completion_mean = retrieval_mod.evaluate(
@@ -550,12 +542,11 @@ def build_parser():
 
     eval_p = sub.add_parser("eval", help="evaluate queries against an index")
     eval_p.add_argument("--index", required=True,
-                        help="index matrix (Matrix Market); a sibling index.npy "
-                             "matching the metadata's digests is loaded instead")
+                        help="index matrix (Matrix Market); a sibling index.npy matching "
+                             "the digests in the sibling index_meta.json is loaded instead")
     eval_p.add_argument("--queries", required=True, help="SMART query file")
     eval_p.add_argument("--qrels", required=True, help="relevance judgments file")
     _add_query_options(eval_p)
-    eval_p.add_argument("--meta", default=None, help="index metadata JSON (default: sibling of index)")
     eval_p.add_argument("--csv", action="store_true", help="also write per-query CSV")
     _add_common(eval_p)
     eval_p.set_defaults(func=cmd_eval, parser_ref=eval_p)

@@ -260,9 +260,12 @@ def truncated_svd(a, k: int) -> SvdFactors:
     return SvdFactors(u, sig, v)
 
 
-def rank_k_reconstruct(f: SvdFactors) -> np.ndarray:
-    """Product of the truncated factors, the best rank-k approximation."""
-    return (f.left * f.values) @ f.right.T
+def rank_k_reconstruct(f: SvdFactors, k: int | None = None) -> np.ndarray:
+    """Product of the leading ``k`` triplets of ``f`` (all of them when
+    ``k`` is None), the best rank-k approximation A_k = U_k S_k V_k^T."""
+    if k is not None and not 1 <= k <= f.rank:
+        raise ValueError(f"k={k} out of range [1, {f.rank}]")
+    return (f.left[:, :k] * f.values[:k]) @ f.right[:, :k].T
 
 
 def column_normalize(a) -> SparseMatrix:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,8 @@ import lsikit
 from lsikit import cli
 from lsikit import cluster as cluster_mod
 from lsikit.cli import main
-from lsikit.matrix import SparseMatrix
-from lsikit.mmio import read_matrix, write_matrix
+from lsikit.matrix import SparseMatrix, rank_k_reconstruct, truncated_svd
+from lsikit.mmio import read_matrix, read_shape, write_matrix
 
 from conftest import SYNONYMY, SYNONYMY_RANK2
 
@@ -153,14 +154,42 @@ def test_index_svd_reproduces_published_table(tmp_path):
     assert meta["rank"] == 2
 
 
-def test_index_svd_invalid_rank_fails_cleanly(tmp_path):
+def test_index_svd_invalid_rank_fails_cleanly(tmp_path, monkeypatch):
     write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+    monkeypatch.setattr(cli.mmio, "read_matrix", None)  # the rank is checked from the header
     out = tmp_path / "idx"
-    with pytest.raises(SystemExit):
-        main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "svd",
-              "--rank", "9", "--out", str(out), "--quiet"])
-    assert not (out / "index.mtx").exists()  # no partial outputs
-    assert not list(out.glob(".staging-*"))
+    for rank, problem in (([], "svd method requires --rank"),
+                          (["--rank", "0"], "invalid rank 0: must lie in [1, 5]"),
+                          (["--rank", "9"], "invalid rank 9: must lie in [1, 5]")):
+        with pytest.raises(SystemExit, match=re.escape(problem)):
+            main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "svd",
+                  *rank, "--out", str(out), "--quiet"])
+        assert not out.exists()  # no partial outputs
+
+
+def test_svd_index_is_the_library_rank_k_matrix(corpus_dir):
+    _index(corpus_dir, corpus_dir / "idx", "svd")
+    matrix = corpus_dir / "corpus" / "matrix.mtx"
+    want = rank_k_reconstruct(truncated_svd(read_matrix(matrix), min(read_shape(matrix))), 2)
+    assert np.load(corpus_dir / "idx" / "index.npy").tobytes(order="C") == want.tobytes()
+
+
+def test_sweep_and_svd_index_build_rank_k_matrices_through_one_function(corpus_dir, monkeypatch):
+    ks = []
+
+    def spy(f, k=None):
+        ks.append(k)
+        return rank_k_reconstruct(f, k)
+
+    monkeypatch.setattr(cli, "rank_k_reconstruct", spy)
+    assert main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"),
+                 "--ranks", "1:3", "--out", str(corpus_dir / "sweep"), "--quiet"]) == 0
+    assert ks == [1, 2, 3]
+    ks.clear()
+    _index(corpus_dir, corpus_dir / "idx", "svd")
+    assert ks == [2]
 
 
 def test_failure_after_staging_leaves_no_outputs(tmp_path, monkeypatch):
@@ -345,21 +374,16 @@ def _raw_over_complete(idx):
 
 
 @pytest.mark.parametrize("spoil", [_edit_mtx, _replace_npy, _truncate_npy, _drop_digests,
-                                   _raw_over_complete, "other_meta"])
+                                   _raw_over_complete])
 def test_eval_falls_back_to_text_unless_digests_match(corpus_dir, eval_spy, spoil):
     idx = corpus_dir / "idx"
     _index(corpus_dir, idx, "complete")
-    extra = ()
-    if spoil == "other_meta":
-        _index(corpus_dir, corpus_dir / "idx_svd", "svd")
-        extra = ("--meta", str(corpus_dir / "idx_svd" / "index_meta.json"))
-    else:
-        spoil(idx)
+    spoil(idx)
     assert (idx / "index.npy").exists()
-    got, reads, ranked = _eval_outputs(corpus_dir, idx, corpus_dir / "e_spoilt", eval_spy, *extra)
+    got, reads, ranked = _eval_outputs(corpus_dir, idx, corpus_dir / "e_spoilt", eval_spy)
     assert reads == 1
     (idx / "index.npy").unlink()
-    want, _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_text", eval_spy, *extra)
+    want, _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_text", eval_spy)
     assert got == want
     _assert_same_array(ranked, parsed)
 
@@ -426,6 +450,37 @@ def test_sweep_csv_layout_and_determinism(corpus_dir):
     summary = json.loads((out / "sweep.json").read_text())
     assert summary["ranks"] == [1, 2, 3]
     assert summary["best_rank"] in (1, 2, 3)
+
+
+def _child_env():
+    """The environment of a fresh interpreter that imports this lsikit."""
+    src = str(Path(lsikit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.mark.parametrize("ranks, problem", [
+    ("0", "invalid rank list '0': rank 0 is below 1"),
+    ("1:{over}", "rank {over} exceeds min(M, N) = {limit}"),
+    ("5:3", "invalid rank list '5:3': range 5:3 is empty"),
+    ("1:1000000000000", "rank 1000000000000 exceeds min(M, N) = {limit}"),
+], ids=["zero", "above-min-shape", "empty-range", "huge-range"])
+def test_sweep_rejects_a_rank_list_before_expanding_it(corpus_dir, ranks, problem):
+    limit = min(read_shape(corpus_dir / "corpus" / "matrix.mtx"))
+    ranks, problem = (text.format(over=limit + 1, limit=limit) for text in (ranks, problem))
+    env = _child_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"  # an import footprint that does not grow with the cores
+    out = corpus_dir / "sweep"
+    done = subprocess.run(
+        [sys.executable, "-m", "lsikit.cli", "sweep", "--matrix", "corpus/matrix.mtx",
+         "--queries", "queries.txt", "--qrels", "qrels.txt", "--ranks", ranks, "--out", str(out)],
+        cwd=corpus_dir, env=env, capture_output=True, text=True, timeout=120,
+        # a parser that expanded the huge range would stop here, not exhaust memory
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert done.returncode == 1
+    assert problem in done.stderr
+    assert not out.exists()
 
 
 def test_sweep_single_rank(corpus_dir):
@@ -698,7 +753,6 @@ def test_config_log_scale_queries_word_reaches_the_queries(run_dir, monkeypatch,
     (_EVAL, ["--min-length", "3"], True),
     (_EVAL, ["--log-scale-queries", "false"], True),
     (_EVAL, ["--vocab", "{d}/corpus/vocabulary.txt"], True),
-    (_EVAL, ["--meta", "{d}/idx/index_meta.json"], True),
     (_SWEEP, ["--stoplist", "{d}/stop.txt"], True),
     (_SWEEP, ["--log-scale-queries", "false"], True),
     (["cluster", "--matrix", "{d}/corpus/matrix.mtx", "--method", "bipartite-svd", "--k", "2",
@@ -708,7 +762,7 @@ def test_config_log_scale_queries_word_reaches_the_queries(run_dir, monkeypatch,
     (_EVAL, ["--out", "{d}/elsewhere"], False),
     (_EVAL, ["--quiet"], False),
     (_EVAL, ["--config", "{d}/empty.cfg"], False),
-], ids=["eval-stoplist", "eval-min-length", "eval-log-scale-queries", "eval-vocab", "eval-meta",
+], ids=["eval-stoplist", "eval-min-length", "eval-log-scale-queries", "eval-vocab",
         "sweep-stoplist", "sweep-log-scale-queries", "cluster-reference", "index-vocab",
         "eval-out", "eval-quiet", "eval-config"])
 def test_report_config_hash_follows_result_options(run_dir, argv, extra, hashed):
@@ -725,7 +779,8 @@ _SPECTRAL = ["cluster", "--matrix", "{d}/points.mtx", "--method", "spectral", "-
      "kernel='bogus' is not one of gaussian, polynomial, sigmoid"),
     (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "complete"],
      "stable_window=3", "no command has an option 'stable_window'"),
-], ids=["misspelt-key", "bad-choice", "removed-option"])
+    (_EVAL, "meta=index_meta.json", "no command has an option 'meta'"),
+], ids=["misspelt-key", "bad-choice", "removed-option", "removed-eval-meta"])
 def test_config_rejects_unknown_keys_and_bad_choices(run_dir, argv, line, named):
     (run_dir / "run.cfg").write_text(f"# settings\n{line}\n")
     with pytest.raises(SystemExit, match=re.escape(f"config line 2: {named}")):
@@ -781,9 +836,7 @@ def test_every_option_is_read_by_its_command(run_dir):
 
 def test_importing_cli_leaves_scipy_unloaded():
     # scipy is imported where a sparse kernel first runs, so other commands start faster
-    src = str(Path(lsikit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _child_env()
     out = subprocess.run(
         [sys.executable, "-c", "import sys, lsikit.cli; print('scipy' in sys.modules)"],
         env=env, check=True, capture_output=True, text=True, timeout=120,
@@ -826,9 +879,7 @@ _HASH = re.compile(rb'"config_hash": "[0-9a-f]+"')
 
 def _cli_in(cwd, commands):
     """Run lsikit ``commands`` in order, in one fresh interpreter working in ``cwd``."""
-    src = str(Path(lsikit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _child_env()
     script = ("import json, sys\nfrom lsikit.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    if main(argv + ['--quiet']) != 0:\n"

@@ -6,7 +6,9 @@ a synthetic collection of Medline's shape (8237 x 1033) the costly steps
 took: completion 38.6 s, the full SVD 3.6 s, a 60-rank reconstruct-and-
 evaluate sweep 9.8 s and the rank-60 NMF 5.8 s with its A-products on
 CSR, about two minutes per collection (2-vCPU Xeon, numpy 2.4.6,
-OpenBLAS 0.3.31); the real collections were not run.  Run
+OpenBLAS 0.3.31); the real collections were not run.  The SVD sweep
+builds each rank's matrix with ``rank_k_reconstruct(full, k)``, the
+function ``lsikit sweep`` and ``lsikit index --method svd`` use.  Run
 with ``pytest -m slow`` after placing <NAME>.ALL/.QRY/.REL files under
 the data directory (or $SMART_DATA_DIR).
 """
@@ -23,7 +25,7 @@ from lsikit.corpus import (
     parse_smart,
 )
 from lsikit.lsi import complete
-from lsikit.matrix import truncated_svd
+from lsikit.matrix import rank_k_reconstruct, truncated_svd
 from lsikit.retrieval import evaluate
 
 from conftest import find_collection
@@ -67,8 +69,7 @@ def test_published_average_precision(name):
     for k in ranks:
         if k > max_rank:
             break
-        approx = (full.left[:, :k] * full.values[:k]) @ full.right[:, :k].T
-        mean = evaluate(qmatrix, approx, judgments, 11,
+        mean = evaluate(qmatrix, rank_k_reconstruct(full, k), judgments, 11,
                         query_ids=qids, doc_ids=doc_ids).mean_avgp
         best = max(best, mean)
     assert best == pytest.approx(svd_ref, abs=0.05)

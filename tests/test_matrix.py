@@ -156,6 +156,20 @@ def test_svd_polysemy_rank2_published_values():
     np.testing.assert_allclose(recon, POLYSEMY_RANK2, atol=0.005)
 
 
+def test_rank_k_reconstruct_defaults_to_every_triplet():
+    a = np.random.default_rng(3).random((9, 6))
+    f = truncated_svd(a, 6)
+    full_product = (f.left * f.values) @ f.right.T
+    assert rank_k_reconstruct(f).tobytes() == full_product.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_rank_k_reconstruct_rejects_k_outside_the_factors(k):
+    f = truncated_svd(np.random.default_rng(3).random((9, 6)), 4)
+    with pytest.raises(ValueError, match=f"k={k} out of range"):
+        rank_k_reconstruct(f, k)
+
+
 def test_svd_exact_rank_reproduces_input():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 5))

@@ -400,5 +400,6 @@ def test_evaluate_matches_per_query_loop_over_svd_rank_sweep():
     full = truncated_svd(a, min(a.shape))
     for k in range(1, 41):
         approx = (full.left[:, :k] * full.values[:k]) @ full.right[:, :k].T
+        assert rank_k_reconstruct(full, k).tobytes() == approx.tobytes(), f"rank {k}"
         mine = _outcome(evaluate, queries, approx, judgments, 11)
         assert mine == _outcome(evaluate_oracle, queries, approx, judgments, 11), f"rank {k}"
