@@ -194,16 +194,17 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _save_binary_index(stager, array, meta):
-    """Save ``array`` as ``index.npy`` beside the staged ``index.mtx`` and
-    record both files' digests in ``meta``.
+def _write_index(stager, array, meta):
+    """Stage ``array`` as ``index.npy`` and ``index.mtx`` and record both
+    files' digests in ``meta``.
 
     The array is saved in Fortran order, the layout ``mmio.read_matrix``
     returns: a C-ordered copy changes the last bits of ``row @ a``,
-    which can reorder nearly tied cosines in ``eval``.
+    which can reorder nearly tied cosines in ``eval``.  The text is not
+    read back: ``mmio.write_matrix`` hashes it as it writes it.
     """
     np.save(stager.path("index.npy"), np.asfortranarray(array), allow_pickle=False)
-    meta["index_sha256"] = _sha256(stager.tmp_dir / "index.mtx")
+    meta["index_sha256"] = mmio.write_matrix(stager.path("index.mtx"), array)
     meta["array_sha256"] = _sha256(stager.tmp_dir / "index.npy")
 
 
@@ -246,8 +247,7 @@ def cmd_index(args):
         elif args.method == "svd":
             full = truncated_svd(mmio.read_matrix(matrix_path), min(shape))
             approx = rank_k_reconstruct(full, args.rank)
-            mmio.write_matrix(stager.path("index.mtx"), approx)
-            _save_binary_index(stager, approx, meta)
+            _write_index(stager, approx, meta)
             np.savez(stager.path("svd_factors.npz"), left=full.left,
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
@@ -255,8 +255,7 @@ def cmd_index(args):
         else:
             m = mmio.read_matrix(matrix_path)
             completed, trace = lsi_mod.complete(m, args.maxiter)
-            mmio.write_matrix(stager.path("index.mtx"), completed)
-            _save_binary_index(stager, completed, meta)
+            _write_index(stager, completed, meta)
             trace_payload = {
                 "norms": [float(v) for v in trace.norms],
                 "conviter": trace.conviter,
@@ -385,7 +384,13 @@ def cmd_sweep(args):
     """MAP of every SVD rank, of the completed matrix and of the NMF
     baseline.  The NMF factorizes the matrix as read, sparse, but
     retrieval scores the dense M x N product of its factors."""
-    ranks = _parse_ranks(args.ranks, min(mmio.read_shape(args.matrix)))
+    limit = min(mmio.read_shape(args.matrix))
+    ranks = _parse_ranks(args.ranks, limit)
+    nmf_rank = args.nmf_rank if args.nmf_rank is not None else ranks[-1]
+    if not 1 <= nmf_rank <= limit:
+        raise SystemExit(f"invalid --nmf-rank {nmf_rank}: must lie in [1, {limit}]")
+    if args.nmf_iterations < 1:
+        raise SystemExit(f"invalid --nmf-iterations {args.nmf_iterations}: must be at least 1")
     matrix = mmio.read_matrix(args.matrix)
     dense = as_dense(matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
@@ -400,7 +405,6 @@ def cmd_sweep(args):
         qmatrix, completed, judgments, args.points,
         query_ids=qids, doc_ids=doc_ids).mean_avgp
 
-    nmf_rank = args.nmf_rank if args.nmf_rank is not None else ranks[-1]
     basis, coeff = nmf_factorize(matrix, nmf_rank, args.nmf_iterations, args.seed)
     nmf_mean = retrieval_mod.evaluate(
         qmatrix, basis @ coeff, judgments, args.points,

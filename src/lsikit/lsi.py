@@ -147,6 +147,16 @@ _SCATTER_CHUNK = 1 << 16
 # dense block at twice the scatter's time.
 _PUSH_COST = 6
 
+# Fixed cost of one dense-block target row in candidates: its Python
+# loop and half a dozen numpy calls took 6-7 us a row, 1.2k-3k
+# candidates, on the last steps of ADI-size and Medline-size completions
+# (same machine as above).  Without it the seventh ADI-size step (557
+# pushes, 1.7k candidates, 420 target rows) took the dense block at 40x
+# the scatter's time.  Values from 5 to 7500 pick the faster kernel at
+# every step of both; 2000 is the middle of the measured cost.  A step's
+# target rows are counted as at most the sum of its degrees.
+_ROW_COST = 2000
+
 # Neighbour rows the dense block gathers at a time, so its buffer is
 # one (_GATHER_ROWS, width) array whatever a word's degree.
 # On a Medline-size block 64 and 128 were fastest; 16 was 1.1-2x slower.
@@ -185,7 +195,8 @@ def completion_step(current, s: SimilarityMatrix, *, changed=None) -> np.ndarray
     if rows.size == 0:
         return out
     cols = np.flatnonzero(changed[rows].any(axis=0))
-    if int(pushes.sum()) * _PUSH_COST <= int(degree[rows].sum()) * cols.size:
+    reach = int(degree[rows].sum())
+    if int(pushes.sum()) * _PUSH_COST <= reach * cols.size + min(reach, s.dim) * _ROW_COST:
         _scatter(out, cur, changed, s, rows)
     else:
         _dense_block(out, cur, s, rows, cols)

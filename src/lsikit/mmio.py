@@ -1,14 +1,24 @@
 """Matrix Market exchange format: coordinate files for sparse matrices,
-array files for dense ones.
+array files for dense ones (Boisvert, Pozo & Remington, *The Matrix
+Market Exchange Formats*, NIST IR 5935, 1996).
 
 Values are written with ``repr`` (shortest round-trip form), so a matrix
 written and re-read comes back bitwise identical.  The banner line is
 kept canonical; readers accept any `%%MatrixMarket matrix` banner with a
 real/integer field and general symmetry.
+
+A dense body formats each distinct bit pattern once.  The patterns are
+sorted to find the distinct ones, and every entry finds its own in a
+multiplicative hash table (Knuth, TAOCP vol. 3, 6.4); each lookup is
+checked, and the few that land on another pattern's slot are resolved
+by binary search, so the mapping is exact.  ``write_matrix`` returns the
+sha256 of the bytes it wrote, hashed as they are written, so no caller
+has to read the file back to hash it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -36,9 +46,18 @@ def _parse_banner(line: str):
 # Entries per write of a dense array body.
 _WRITE_CHUNK = 1 << 16
 
+# Multiplier of the dedupe's hash, 2**64 divided by the golden ratio and
+# made odd (Fibonacci hashing, Knuth, TAOCP vol. 3, 6.4).
+_KNUTH = np.uint64(0x9E3779B97F4A7C15)
 
-def write_matrix(path, m, comment: str = "") -> None:
-    """Write a sparse matrix as coordinate MM or a dense array as array MM."""
+# Hash slots per distinct value, capped at about two per entry so the
+# table is never larger than the entries themselves.
+_SLOTS_PER_KEY = 16
+
+
+def write_matrix(path, m, comment: str = "") -> str:
+    """Write a sparse matrix as coordinate MM or a dense array as array MM,
+    and return the sha256 hex digest of the bytes written."""
     if isinstance(m, SparseMatrix):
         banner, size = SPARSE_BANNER, f"{m.rows} {m.cols} {m.nnz}"
         body = ["".join(f"{r + 1} {c + 1} {float(v)!r}\n"
@@ -49,26 +68,58 @@ def write_matrix(path, m, comment: str = "") -> None:
             raise ValueError("expected a 2-D matrix")
         banner, size = DENSE_BANNER, f"{a.shape[0]} {a.shape[1]}"
         body = _array_body(a)
-    head = [banner, *("%" + c for c in comment.splitlines()), size]
+    head = "\n".join([banner, *("%" + c for c in comment.splitlines()), size])
+    head = (head + "\n").encode("ascii")
+    digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
-        fh.write(("\n".join(head) + "\n").encode("ascii"))
-        fh.writelines(body)
+        fh.write(head)
+        for chunk in body:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _distinct(bits):
+    """The sorted distinct values of the uint64 array ``bits`` and, for
+    each entry, the position of its value among them: what
+    ``np.unique(bits, return_inverse=True)`` returns, in less time.
+
+    Every lookup in the hash table is checked against the entry, and the
+    entries whose slot holds another value are found by binary search.
+    """
+    ordered = np.sort(bits)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    shift = 64 - max(min(_SLOTS_PER_KEY * keys.size, bits.size), 1).bit_length()
+    index_type = np.min_scalar_type(keys.size - 1)
+    slots = np.zeros(1 << (64 - shift), dtype=index_type)
+    slots[(keys * _KNUTH) >> np.uint64(shift)] = np.arange(keys.size, dtype=index_type)
+    hashed = bits * _KNUTH
+    hashed >>= np.uint64(shift)
+    where = slots[hashed]
+    miss = np.flatnonzero(keys[where] != bits)
+    where[miss] = np.searchsorted(keys, bits[miss])
+    return keys, where
 
 
 def _array_body(a):
     """Entries in column-major order, one repr per line, as byte chunks.
 
     Each distinct bit pattern is formatted once, which keeps -0.0, NaN
-    and inf exact; lines are looked up in a fixed-width table whose NUL
-    padding is stripped from each chunk.
+    and inf exact, and a chunk of values at a time, since a string per
+    value costs several times the table's memory; lines are looked up in
+    a fixed-width table whose NUL padding is deleted from each chunk.
     """
-    keys, where = np.unique(np.ascontiguousarray(a.T).reshape(-1).view(np.int64),
-                            return_inverse=True)
-    text = [repr(float(v)) + "\n" for v in keys.view(np.float64)]
-    table = np.array(text, dtype=f"S{max(map(len, text), default=1)}")
-    where = where.reshape(-1)
+    keys, where = _distinct(np.ascontiguousarray(a.T).reshape(-1).view(np.uint64))
+    if where.size == 0:
+        return
+    values = keys.view(np.float64)
+    table = np.concatenate([
+        np.array([f"{v!r}\n" for v in values[lo:lo + _WRITE_CHUNK].tolist()], dtype="S")
+        for lo in range(0, values.size, _WRITE_CHUNK)])
     for lo in range(0, where.size, _WRITE_CHUNK):
-        yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().replace(b"\0", b"")
+        yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().translate(None, b"\0")
 
 
 def _read_header(fh):

@@ -195,10 +195,11 @@ def test_sweep_and_svd_index_build_rank_k_matrices_through_one_function(corpus_d
 def test_failure_after_staging_leaves_no_outputs(tmp_path, monkeypatch):
     write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
 
-    def disk_full(*args):
+    def disk_full(path, *args, **kwargs):
+        Path(path).write_bytes(b"%%MatrixMarket")
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli, "_save_binary_index", disk_full)  # after index.mtx is staged
+    monkeypatch.setattr(cli.mmio, "write_matrix", disk_full)  # after index.npy is staged
     out = tmp_path / "idx"
     assert main(["index", "--matrix", str(tmp_path / "syn.mtx"), "--method", "complete",
                  "--out", str(out), "--quiet"]) == 1
@@ -480,6 +481,31 @@ def test_sweep_rejects_a_rank_list_before_expanding_it(corpus_dir, ranks, proble
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
     assert done.returncode == 1
     assert problem in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--nmf-rank", "0"], "invalid --nmf-rank 0: must lie in [1, {limit}]"),
+    (["--nmf-rank", "{over}"], "invalid --nmf-rank {over}: must lie in [1, {limit}]"),
+    (["--nmf-iterations", "0"], "invalid --nmf-iterations 0: must be at least 1"),
+    (["--nmf-iterations", "-3"], "invalid --nmf-iterations -3: must be at least 1"),
+], ids=["rank-zero", "rank-above-min-shape", "iterations-zero", "iterations-negative"])
+def test_sweep_rejects_nmf_flags_before_reading_the_matrix(corpus_dir, monkeypatch, flags, problem):
+    limit = min(read_shape(corpus_dir / "corpus" / "matrix.mtx"))
+    flags = [flag.format(over=limit + 1) for flag in flags]
+
+    def never(*args, **kwargs):
+        raise AssertionError("sweep read the matrix or ran the SVD before checking its flags")
+
+    monkeypatch.setattr(cli, "truncated_svd", never)
+    monkeypatch.setattr(cli.mmio, "read_matrix", never)
+    out = corpus_dir / "sweep"
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+              "--queries", str(corpus_dir / "queries.txt"),
+              "--qrels", str(corpus_dir / "qrels.txt"),
+              "--ranks", "1:2", *flags, "--out", str(out), "--quiet"])
+    assert str(stop.value) == problem.format(over=limit + 1, limit=limit)
     assert not out.exists()
 
 

@@ -304,10 +304,16 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:.*zero rows")
-def test_complete_equals_full_step_loop_bitwise(kernel_calls):
+def test_complete_equals_full_step_loop_bitwise(monkeypatch, kernel_calls):
     capped = windowed = 0
     for a, maxiter, window in _trials():
         got, trace = complete(a, maxiter=maxiter)
+        # every step forced to the dense block gives the same result
+        with monkeypatch.context() as forced:
+            forced.setattr(lsi, "_PUSH_COST", 10**9)
+            dense, dense_trace = complete(a, maxiter=maxiter)
+        _assert_same_bytes(dense, got)
+        assert dense_trace == trace
         # zeros come back as +0.0: bytes match the loop on the
         # canonical input, values and trace match it on the raw input
         want, _ = complete_oracle(a + 0.0, maxiter, 1)
@@ -374,6 +380,21 @@ def test_step_with_and_without_mask_equals_full_step(monkeypatch, push_cost, chu
                            completion_step_oracle(cur, s))
         idle = completion_step(cur, s, changed=np.zeros(cur.shape, dtype=bool))
         _assert_same_bytes(idle, cur)
+
+
+def test_few_pushes_over_many_target_rows_take_the_scatter(kernel_calls):
+    # one changed entry of a word similar to all 199 others: 199 pushes
+    # against 199 candidates, but the dense block would pay 199 target rows
+    a = np.ones((200, 2))
+    a[:, 1] = 0.0
+    a[0, 1] = 2.0
+    s = word_similarity(a)
+    changed = np.zeros(a.shape, dtype=bool)
+    changed[0, 1] = True
+    got = completion_step(a, s, changed=changed)
+    assert kernel_calls == {"_scatter": 1, "_dense_block": 0}
+    _assert_same_bytes(got, completion_step_oracle(a, s))
+    assert np.all(got[1:, 1] > 0)
 
 
 def test_complete_norm_collision_matches_full_step_loop():

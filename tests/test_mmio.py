@@ -1,8 +1,11 @@
 """Matrix Market reader/writer round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from lsikit import mmio
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_banner, read_matrix, write_matrix
 
@@ -94,11 +97,14 @@ def _dense_cases():
                         [2.2250738585072014e-308, -1e-310, nan_payload[0]],
                         [nan_payload[1], 1e300, -0.0]])
     rounded = np.round(rng.standard_normal((40, 30)), 1)
+    # 2000 values over 75k entries: enough distinct values for hash slot collisions
+    few_distinct = rng.choice(rng.standard_normal(2000), size=(300, 250))
     yield "random", rng.standard_normal((17, 9)) * np.exp(rng.uniform(-30, 30, (17, 9)))
     yield "all_distinct", rng.random((25, 40))
     yield "repeated", rounded
     yield "fortran_order", np.asfortranarray(rounded)
     yield "strided", rounded[::3, 1::2]
+    yield "few_distinct", few_distinct
     yield "special", special
     yield "subnormal", np.array([[5e-324, 1e-320], [-2.5e-310, 2.2250738585072009e-308]])
     yield "one_by_one", np.array([[-0.0]])
@@ -177,3 +183,46 @@ def test_dense_read_rejects_malformed_tokens(tmp_path, body):
     path.write_text(DENSE_BANNER + "\n" + body)
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+def _bits_cases():
+    rng = np.random.default_rng(11)
+    nan_payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                             0x7FF8000000000000], dtype=np.uint64)
+    yield "random", rng.standard_normal(5000).view(np.uint64)
+    yield "few_distinct", rng.choice(rng.standard_normal(3000), size=200_000).view(np.uint64)
+    yield "signed_zeros", rng.choice([0.0, -0.0, 1.0], size=1000).view(np.uint64)
+    yield "nan_payloads", rng.choice(nan_payloads, size=1000)
+    yield "subnormals", rng.choice([5e-324, 1e-320, -2.5e-310, 2.2250738585072009e-308, 0.0],
+                                   size=1000).view(np.uint64)
+    yield "one", np.array([7], dtype=np.uint64)
+    yield "empty", np.zeros(0, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("name,bits", list(_bits_cases()), ids=[n for n, _ in _bits_cases()])
+def test_distinct_equals_unique_with_inverse(monkeypatch, name, bits):
+    looked_up = []
+    searchsorted = np.searchsorted
+
+    def spy(keys, values, *args, **kwargs):
+        looked_up.append(np.size(values))
+        return searchsorted(keys, values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    keys, where = mmio._distinct(bits)
+    want_keys, want_where = np.unique(bits, return_inverse=True)
+    np.testing.assert_array_equal(keys, want_keys)
+    np.testing.assert_array_equal(where, want_where.reshape(-1))
+    if name == "few_distinct":
+        assert sum(looked_up) > 0  # slot collisions went through the binary search
+
+
+@pytest.mark.parametrize("m", [
+    SparseMatrix.from_dense(np.array([[0.0, 1.5], [-2.0, 0.0]])),
+    np.random.default_rng(3).standard_normal((70, 40)),
+    np.zeros((0, 3)),
+], ids=["sparse", "dense", "empty"])
+@pytest.mark.parametrize("comment", ["", "made by a test\nsecond line"])
+def test_write_returns_the_digest_of_the_bytes_written(tmp_path, m, comment):
+    path = tmp_path / "m.mtx"
+    assert write_matrix(path, m, comment=comment) == hashlib.sha256(path.read_bytes()).hexdigest()
