@@ -200,10 +200,13 @@ def _write_index(stager, array, meta):
 
     The array is saved in Fortran order, the layout ``mmio.read_matrix``
     returns: a C-ordered copy changes the last bits of ``row @ a``,
-    which can reorder nearly tied cosines in ``eval``.  The text is not
-    read back: ``mmio.write_matrix`` hashes it as it writes it.
+    which can reorder nearly tied cosines in ``eval``.  The same
+    Fortran-ordered array is the text writer's input, which reads it in
+    place.  The text is not read back: ``mmio.write_matrix`` hashes it
+    as it writes it.
     """
-    np.save(stager.path("index.npy"), np.asfortranarray(array), allow_pickle=False)
+    array = np.asfortranarray(array)
+    np.save(stager.path("index.npy"), array, allow_pickle=False)
     meta["index_sha256"] = mmio.write_matrix(stager.path("index.mtx"), array)
     meta["array_sha256"] = _sha256(stager.tmp_dir / "index.npy")
 
@@ -246,8 +249,7 @@ def cmd_index(args):
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
         elif args.method == "svd":
             full = truncated_svd(mmio.read_matrix(matrix_path), min(shape))
-            approx = rank_k_reconstruct(full, args.rank)
-            _write_index(stager, approx, meta)
+            _write_index(stager, np.asfortranarray(rank_k_reconstruct(full, args.rank)), meta)
             np.savez(stager.path("svd_factors.npz"), left=full.left,
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
@@ -255,6 +257,7 @@ def cmd_index(args):
         else:
             m = mmio.read_matrix(matrix_path)
             completed, trace = lsi_mod.complete(m, args.maxiter)
+            completed = np.asfortranarray(completed)  # frees the C-ordered result
             _write_index(stager, completed, meta)
             trace_payload = {
                 "norms": [float(v) for v in trace.norms],

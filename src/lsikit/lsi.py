@@ -24,7 +24,12 @@ similarity neighbours into one preallocated buffer, at most
 ``_GATHER_ROWS`` at a time, scales them in place by their similarities,
 reduces them with max into a preallocated row and folds that into the
 output row once.  max is exact, so the bytes do not depend on the chunk
-size.
+size.  When the changed columns are all the columns, and the input is
+C-ordered and holds no -0.0 (true of every iterate of :func:`complete`),
+it reads the neighbour rows from the input in place; otherwise it
+copies the changed rows and columns first.  ``complete`` frees each
+iterate before it squares the next one for its norm, so it keeps at
+most two full-size arrays beside the step's chunks.
 """
 
 from __future__ import annotations
@@ -230,11 +235,20 @@ def _scatter(out, cur, changed, s, rows):
 
 
 def _dense_block(out, cur, s, rows, cols):
-    """The per-row multiply-max, reading only ``rows`` x ``cols`` of ``cur``."""
+    """The per-row multiply-max, reading only ``rows`` x ``cols`` of ``cur``.
+
+    A block of every column of a C-ordered ``cur`` that holds no -0.0
+    is read from ``cur`` in place; any other block is copied first.
+    """
     into = s.matrix[:, rows]
-    block = cur[np.ix_(rows, cols)]
-    block += 0.0  # a -0.0 entry would give -0.0 candidates
     indptr, indices, weights = into.indptr.tolist(), into.indices, into.data[:, None]
+    if cols.size == cur.shape[1] and cur.flags.c_contiguous and not np.signbit(cur).any():
+        block = cur
+        if rows.size < cur.shape[0]:
+            indices = rows.astype(indices.dtype)[indices]  # positions in rows -> rows of cur
+    else:
+        block = cur[np.ix_(rows, cols)]
+        block += 0.0  # a -0.0 entry would give -0.0 candidates
     buf = np.empty((_GATHER_ROWS, cols.size))
     acc = np.empty(cols.size)
     best = np.empty(cols.size)
@@ -283,12 +297,12 @@ def complete(initial, maxiter: int = 100):
     changed = None
     for n in range(1, maxiter + 1):
         nxt = completion_step(a, sim, changed=changed)
-        norms.append(frobenius_norm(nxt))
         changed = nxt != a
         counts.append(int(np.count_nonzero(changed)))
+        a = nxt  # frees the previous iterate before the norm's squared copy
+        norms.append(frobenius_norm(a))
         if counts[-1] == 0:
             return a, CompletionTrace(tuple(norms), n, True, ps, tuple(counts))
-        a = nxt
     return a, CompletionTrace(tuple(norms), maxiter, False, ps, tuple(counts))
 
 

@@ -156,6 +156,8 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
     together, with the same results as :func:`score_query` and
     :func:`interpolated_avg_precision` one query at a time.
     """
+    if points < 2:
+        raise ValueError("points must be at least 2")
     qm = np.atleast_2d(np.asarray(queries, dtype=float))
     a = as_dense(index)
     if qm.shape[1] != a.shape[0]:
@@ -184,8 +186,6 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
             skipped.append(qid)
             continue
         q_norms.append(_query_norm(row, a.shape[0]))
-        if points < 2:
-            raise ValueError("points must be at least 2")
         kept.append(qid)
         rows.append(row)
         relevant_sets.append(relevant)

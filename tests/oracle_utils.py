@@ -223,6 +223,14 @@ def dense_mm_oracle(a):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def sparse_mm_oracle(m):
+    """Matrix Market coordinate text with every triplet formatted on its own."""
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{m.rows} {m.cols} {m.data.size}"]
+    lines.extend(f"{int(r) + 1} {int(c) + 1} {float(v)!r}"
+                 for r, c, v in zip(m.row, m.col, m.data))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def dense_mm_read_oracle(path):
     """Array Matrix Market file parsed one Python ``float`` token at a
     time, after the banner, comments and size line."""
@@ -267,6 +275,8 @@ def iap_loop_oracle(ranking, relevant, points):
 def evaluate_oracle(queries, index, judgments, points=11, query_ids=None, doc_ids=None):
     """Per-query loop: rank each kept query with its own lexsort, then
     average its precision curve; returns ``(per_query, mean, skipped)``."""
+    if points < 2:
+        raise ValueError("points must be at least 2")
     qm = np.atleast_2d(np.asarray(queries, dtype=float))
     a = as_dense(index)
     if query_ids is None:
@@ -303,3 +313,15 @@ def nmf_dense_oracle(a, k, iterations, seed):
         c *= (b.T @ dense) / (b.T @ b @ c + 1e-9)
         b *= (dense @ c.T) / (b @ (c @ c.T) + 1e-9)
     return b, c
+
+
+def zipf_matrix(seed, words=1400, docs=1000):
+    """A log-scaled term-document matrix of Medline's shape (about
+    1.1k words x 1k documents): 4-11 Zipfian tokens per document."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, words + 1) ** 0.9
+    p /= p.sum()
+    counts = np.zeros((words, docs))
+    for j in range(docs):
+        np.add.at(counts[:, j], rng.choice(words, size=int(rng.integers(4, 12)), p=p), 1.0)
+    return np.log1p(counts[counts.any(axis=1)])

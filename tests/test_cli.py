@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from lsikit.matrix import SparseMatrix, rank_k_reconstruct, truncated_svd
 from lsikit.mmio import read_matrix, read_shape, write_matrix
 
 from conftest import SYNONYMY, SYNONYMY_RANK2
+from oracle_utils import zipf_matrix
 
 DOCS = """.I 1
 .W
@@ -220,6 +222,26 @@ def test_index_complete_emits_trace(tmp_path):
     assert trace["norms"] == sorted(trace["norms"])
     completed = read_matrix(out / "index.mtx")
     assert completed[0, 1] == pytest.approx(4.2933, abs=1e-3)
+
+
+def test_index_complete_writes_from_one_copy_of_the_completion(tmp_path):
+    a = zipf_matrix(0)
+    write_matrix(tmp_path / "m.mtx", SparseMatrix.from_dense(a))
+    argv = ["index", "--matrix", str(tmp_path / "m.mtx"), "--method", "complete", "--quiet"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0  # imports and caches
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "idx")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the completion peaks at 2.9 copies of the matrix; writing both files
+    # from one Fortran-ordered copy takes 2.2, and each more copy alive
+    # while they are written (the C-ordered result, a transposed body)
+    # would add one
+    assert peak < 3.1 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"
+    for name in ("index.mtx", "index.npy"):
+        assert (tmp_path / "idx" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 def test_eval_end_to_end(corpus_dir):

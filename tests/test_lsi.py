@@ -1,5 +1,7 @@
 """Similarity matrix, completion step, fixpoint iteration, %PS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from conftest import POLYSEMY, SYNONYMY
 
 from oracle_utils import chain_oracle as _chain_oracle
 from oracle_utils import closure_oracle
-from oracle_utils import complete_oracle, completion_step_oracle
+from oracle_utils import complete_oracle, completion_step_oracle, zipf_matrix
 from oracle_utils import cosine_rows_oracle as _cosine_rows_oracle
 
 
@@ -397,6 +399,42 @@ def test_few_pushes_over_many_target_rows_take_the_scatter(kernel_calls):
     assert np.all(got[1:, 1] > 0)
 
 
+@pytest.fixture
+def copied_blocks(monkeypatch):
+    """Count the dense blocks gathered into a copy (``np.ix_`` builds their index)."""
+    calls = []
+    ix = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *args: calls.append(1) or ix(*args))
+    return calls
+
+
+@pytest.mark.parametrize("negative_zero", [False, True])
+def test_dense_block_read_in_place_equals_copied_block(monkeypatch, copied_blocks,
+                                                       negative_zero):
+    # every row and column has a nonzero entry and column 0 links every
+    # word pair, so the first step's dense block is all of ``a``
+    monkeypatch.setattr(lsi, "_PUSH_COST", 10**9)
+    rng = np.random.default_rng(41)
+    a = rng.random((30, 12))
+    a[rng.random(a.shape) < 0.5] = -0.0 if negative_zero else 0.0
+    a[:, 0] = a[0] = 1.0
+    s = word_similarity(a)
+    got = completion_step(a, s)
+    assert len(copied_blocks) == negative_zero  # -0.0 entries go through the copy
+    # a Fortran-ordered input is copied whatever it holds
+    _assert_same_bytes(got, completion_step(np.asfortranarray(a), s))
+    assert len(copied_blocks) == 1 + negative_zero
+    _assert_same_bytes(got, completion_step_oracle(a + 0.0, s))
+    assert not np.signbit(got).any()
+    # pushing every third row reads those rows of ``a`` in place
+    changed = np.zeros(a.shape, dtype=bool)
+    changed[::3] = True
+    got = completion_step(a, s, changed=changed)
+    _assert_same_bytes(got, completion_step(np.asfortranarray(a), s, changed=changed))
+    assert len(copied_blocks) == 2 + 2 * negative_zero
+    assert not np.signbit(got).any()
+
+
 def test_complete_norm_collision_matches_full_step_loop():
     for a in (np.array([[1e9, 0.0], [1e9, 2.0]]),
               np.array([[1e9, 0.0, 3.0], [1e9, 2.0, 0.0], [0.0, 1.0, 1e-3]])):
@@ -407,24 +445,30 @@ def test_complete_norm_collision_matches_full_step_loop():
         assert trace.norms[1] == trace.norms[0] and trace.changed[0] > 0
 
 
-def _zipf_matrix(seed, words=1400, docs=1000):
-    rng = np.random.default_rng(seed)
-    p = 1.0 / np.arange(1, words + 1) ** 0.9
-    p /= p.sum()
-    counts = np.zeros((words, docs))
-    for j in range(docs):
-        np.add.at(counts[:, j], rng.choice(words, size=int(rng.integers(4, 12)), p=p), 1.0)
-    return np.log1p(counts[counts.any(axis=1)])
-
-
 def test_complete_zipf_medline_size_equals_full_step_loop(kernel_calls):
-    a = _zipf_matrix(0)
+    a = zipf_matrix(0)
     assert 1000 <= a.shape[0] <= 1200 and a.shape[1] == 1000
     got, trace = complete(a)
     want, want_trace = complete_oracle(a, stable_window=1)
     _assert_same_bytes(got, want)
     assert trace == want_trace
     assert kernel_calls["_scatter"] > 0 and kernel_calls["_dense_block"] > 0
+
+
+def test_complete_keeps_less_than_three_copies():
+    a = zipf_matrix(0)
+    complete(a[:50])  # first-call imports and caches are not the completion's memory
+    tracemalloc.start()
+    try:
+        _, trace = complete(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    # the iterate and the step's output are two copies, and the scatter's
+    # chunks and the similarity matrix measured 0.9 more; a copied dense
+    # block, or the norm's square beside two iterates, would add another
+    assert peak < 3.1 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"
 
 
 def test_step_rejects_mask_of_wrong_shape():

@@ -1,6 +1,7 @@
 """Matrix Market reader/writer round trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from lsikit import mmio
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_banner, read_matrix, write_matrix
 
-from oracle_utils import dense_mm_oracle, dense_mm_read_oracle
+from oracle_utils import dense_mm_oracle, dense_mm_read_oracle, sparse_mm_oracle
 
 
 def test_sparse_roundtrip_bitwise(tmp_path):
@@ -34,6 +35,35 @@ def test_dense_roundtrip_bitwise(tmp_path):
     back = read_matrix(path)
     assert isinstance(back, np.ndarray)
     np.testing.assert_array_equal(back, a)
+
+
+def _stored(rows, cols, row, col, data):
+    """A matrix holding ``data`` as given.  The constructor rejects zeros
+    and non-finite values, but the writer must format any stored bits."""
+    m = SparseMatrix(rows, cols, row, col, np.ones(len(data)))
+    object.__setattr__(m, "data", np.asarray(data, dtype=np.float64))
+    return m
+
+
+def _sparse_cases():
+    rng = np.random.default_rng(13)
+    nan_payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                            dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal((60, 45)) * np.exp(rng.uniform(-700, 700, (60, 45)))
+    yield "random", SparseMatrix.from_dense(np.where(rng.random((60, 45)) < 0.3, scaled, 0.0))
+    yield "subnormal", SparseMatrix(3, 2_000_000, [0, 1, 2, 2], [0, 7, 1_999_999, 5],
+                                    [5e-324, -1e-320, 2.2250738585072009e-308, -2.5e-310])
+    yield "signed_zeros", _stored(2, 3, [0, 1, 1], [2, 0, 1], [0.0, -0.0, -0.0])
+    yield "nan_payloads", _stored(1, 4, [0, 0, 0, 0], [0, 1, 2, 3],
+                                  [*nan_payloads, -np.inf])
+    yield "empty", SparseMatrix(4, 5, [], [], [])
+
+
+@pytest.mark.parametrize("name,m", list(_sparse_cases()), ids=[n for n, _ in _sparse_cases()])
+def test_sparse_write_bytes_match_per_entry_writer(tmp_path, name, m):
+    path = tmp_path / f"{name}.mtx"
+    assert write_matrix(path, m) == hashlib.sha256(sparse_mm_oracle(m)).hexdigest()
+    assert path.read_bytes() == sparse_mm_oracle(m)
 
 
 def test_banner_preserved_verbatim(tmp_path):
@@ -105,6 +135,11 @@ def _dense_cases():
     yield "fortran_order", np.asfortranarray(rounded)
     yield "strided", rounded[::3, 1::2]
     yield "few_distinct", few_distinct
+    # columns longer than a write chunk, read in place and through a copy
+    tall = rng.choice(rng.standard_normal(5000), size=(70_000, 2))
+    yield "tall_fortran", np.asfortranarray(tall)
+    yield "tall_c_order", tall
+    yield "c_order_chunks", rng.choice(rng.standard_normal(9000), size=(300, 700))
     yield "special", special
     yield "subnormal", np.array([[5e-324, 1e-320], [-2.5e-310, 2.2250738585072009e-308]])
     yield "one_by_one", np.array([[-0.0]])
@@ -191,6 +226,9 @@ def _bits_cases():
                              0x7FF8000000000000], dtype=np.uint64)
     yield "random", rng.standard_normal(5000).view(np.uint64)
     yield "few_distinct", rng.choice(rng.standard_normal(3000), size=200_000).view(np.uint64)
+    # ends inside a third lookup chunk; 40k values collide in the slot table
+    yield "several_chunks", rng.choice(rng.standard_normal(40_000),
+                                       size=2 * mmio._WRITE_CHUNK + 17).view(np.uint64)
     yield "signed_zeros", rng.choice([0.0, -0.0, 1.0], size=1000).view(np.uint64)
     yield "nan_payloads", rng.choice(nan_payloads, size=1000)
     yield "subnormals", rng.choice([5e-324, 1e-320, -2.5e-310, 2.2250738585072009e-308, 0.0],
@@ -213,7 +251,7 @@ def test_distinct_equals_unique_with_inverse(monkeypatch, name, bits):
     want_keys, want_where = np.unique(bits, return_inverse=True)
     np.testing.assert_array_equal(keys, want_keys)
     np.testing.assert_array_equal(where, want_where.reshape(-1))
-    if name == "few_distinct":
+    if name in ("few_distinct", "several_chunks"):
         assert sum(looked_up) > 0  # slot collisions went through the binary search
 
 
@@ -226,3 +264,19 @@ def test_distinct_equals_unique_with_inverse(monkeypatch, name, bits):
 def test_write_returns_the_digest_of_the_bytes_written(tmp_path, m, comment):
     path = tmp_path / "m.mtx"
     assert write_matrix(path, m, comment=comment) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dense_write_keeps_less_than_two_copies(tmp_path):
+    # the sorted copy is the one full-size temporary; the lookups run a
+    # chunk at a time into one small pattern number per entry
+    rng = np.random.default_rng(17)
+    a = np.asfortranarray(rng.choice(rng.standard_normal(500), size=(1000, 1000)))
+    path = tmp_path / "m.mtx"
+    tracemalloc.start()
+    try:
+        digest = write_matrix(path, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"

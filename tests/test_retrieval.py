@@ -235,6 +235,18 @@ def test_evaluate_skips_zero_queries():
     assert report.skipped == (2,)
 
 
+@pytest.mark.parametrize("points", [0, 1])
+@pytest.mark.parametrize("queries,judgments", [
+    (np.ones((2, 3)), {}),                         # no query has judgments
+    (np.zeros((2, 3)), {1: {1}, 2: {2}}),          # every query is empty
+], ids=["unjudged", "empty"])
+def test_evaluate_rejects_points_when_every_query_is_skipped(queries, judgments, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any query is looked at
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            evaluate(queries, np.eye(3), judgments, points=points)
+
+
 def test_evaluate_deterministic_and_mean_is_arithmetic():
     rng = np.random.default_rng(5)
     queries = rng.random((4, 6)) + 0.01
