@@ -232,6 +232,8 @@ def cmd_index(args):
             raise SystemExit("svd method requires --rank")
         if not 1 <= args.rank <= min(shape):
             raise SystemExit(f"invalid rank {args.rank}: must lie in [1, {min(shape)}]")
+    if args.method == "complete" and args.maxiter < 1:
+        raise SystemExit(f"invalid --maxiter {args.maxiter}: must be at least 1")
     vocab_path = Path(args.vocab or matrix_path.parent / "vocabulary.txt")
     if args.vocab is not None or vocab_path.exists():
         _read_vocabulary(vocab_path, shape[0])
@@ -394,6 +396,8 @@ def cmd_sweep(args):
         raise SystemExit(f"invalid --nmf-rank {nmf_rank}: must lie in [1, {limit}]")
     if args.nmf_iterations < 1:
         raise SystemExit(f"invalid --nmf-iterations {args.nmf_iterations}: must be at least 1")
+    if args.maxiter < 1:
+        raise SystemExit(f"invalid --maxiter {args.maxiter}: must be at least 1")
     matrix = mmio.read_matrix(args.matrix)
     dense = as_dense(matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
@@ -458,8 +462,9 @@ def cmd_cluster(args):
     if args.method == "spectral":
         if args.kernel == "gaussian" and args.alpha is None:
             raise SystemExit("gaussian kernel requires --alpha")
-        spec = KernelSpec(args.kernel, c=args.c or 0.0, d=args.d or 1,
-                          alpha=args.alpha or 0.0, theta=args.theta or 0.0)
+        # unset flags take KernelSpec's defaults; a set one, even 0, is checked there
+        spec = KernelSpec(args.kernel, **{k: getattr(args, k) for k in ("c", "d", "alpha", "theta")
+                                          if getattr(args, k) is not None})
         run = cluster_mod.spectral_cluster(matrix, args.k, spec, args.seed)
     elif args.method == "bipartite-svd":
         run = cluster_mod.bipartite_svd_cluster(matrix, args.k, args.seed)

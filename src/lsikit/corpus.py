@@ -208,12 +208,12 @@ _NON_ALPHA = re.compile(r"[^a-z]+")
 
 
 def tokenize(text: str, stoplist=frozenset(), min_length: int = DEFAULT_MIN_LENGTH):
-    """Lowercase, split on non-alphabetic characters, drop stop words and
-    tokens shorter than ``min_length``.  No stemming."""
+    """Lowercase, split on non-alphabetic characters, drop empty tokens,
+    stop words and tokens shorter than ``min_length``.  No stemming."""
     return [
         token
         for token in _NON_ALPHA.split(text.lower())
-        if len(token) >= min_length and token not in stoplist
+        if token and len(token) >= min_length and token not in stoplist
     ]
 
 

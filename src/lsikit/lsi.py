@@ -11,25 +11,25 @@ unchanged input gives the same output at every later step.  Norm-based
 stopping is not used, because it can be fooled by updates too small to
 move the Frobenius norm in floating point.
 
-Steps are semi-naive (Bancilhon 1986): because max is monotone and
-idempotent, an entry can rise in step n+1 only if a similarity
-neighbour changed in step n, so each step pushes only the entries the
-previous step changed.  It scatters them one by one or runs the dense
-per-row update over the changed rows and columns, whichever its work
-estimate says is cheaper; both give the full step's result bit for
-bit, and the idle step that confirms the fixpoint costs one copy.
+Steps are semi-naive (Bancilhon 1986) where that pays: because max is
+monotone and idempotent, an entry can rise in step n+1 only if a
+similarity neighbour changed in step n.  A step either scatters just the
+entries the previous step changed to their neighbours, one by one, or
+runs the full step, the dense per-row update over every word with a
+neighbour, whichever its work estimate says is cheaper; both give the
+full step's result bit for bit, and the idle step that confirms the
+fixpoint costs one copy.
 
 The dense update allocates nothing per target row.  It gathers a row's
-similarity neighbours into one preallocated buffer, at most
-``_GATHER_ROWS`` at a time, scales them in place by their similarities,
-reduces them with max into a preallocated row and folds that into the
-output row once.  max is exact, so the bytes do not depend on the chunk
-size.  When the changed columns are all the columns, and the input is
-C-ordered and holds no -0.0 (true of every iterate of :func:`complete`),
-it reads the neighbour rows from the input in place; otherwise it
-copies the changed rows and columns first.  ``complete`` frees each
-iterate before it squares the next one for its norm, so it keeps at
-most two full-size arrays beside the step's chunks.
+similarity neighbours from the input, read in place, into one
+preallocated buffer, at most ``_GATHER_ROWS`` at a time, scales them in
+place by their similarities, reduces them with max into a preallocated
+row and folds that into the output row once.  max is exact, so the bytes
+do not depend on the chunk size.  An input that is not C-ordered or
+holds a -0.0 is canonicalized once first; no iterate of
+:func:`complete` is either.  ``complete`` frees each iterate before it
+squares the next one for its norm, so it keeps at most two full-size
+arrays beside the step's chunks.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ _PUSH_COST = 6
 # (same machine as above).  Without it the seventh ADI-size step (557
 # pushes, 1.7k candidates, 420 target rows) took the dense block at 40x
 # the scatter's time.  Values from 5 to 7500 pick the faster kernel at
-# every step of both; 2000 is the middle of the measured cost.  A step's
-# target rows are counted as at most the sum of its degrees.
+# every step of both; 2000 is the middle of the measured cost.  The
+# dense block's target rows are the words with a neighbour.
 _ROW_COST = 2000
 
 # Neighbour rows the dense block gathers at a time, so its buffer is
@@ -175,11 +175,13 @@ def completion_step(current, s: SimilarityMatrix, *, changed=None) -> np.ndarray
     independent of evaluation order; the output is a fresh array that
     dominates the input entrywise.  Zeros in the output are +0.0.
 
-    Only the entries marked in the boolean mask ``changed`` are pushed
-    to their similarity neighbours.  That is exact when ``current`` is
-    the output of a step and ``changed`` marks where it differs from
-    that step's input: an unchanged entry pushes nothing its target did
-    not already receive.  ``changed=None`` pushes every nonzero entry,
+    The boolean mask ``changed`` marks the entries that may push
+    something new.  When ``current`` is the output of a step, the result
+    is exact whenever the mask covers every entry where ``current``
+    differs from that step's input: an unchanged entry pushes nothing
+    its target did not already receive.  The scatter pushes only the
+    marked entries; the dense block computes the full step, and the mask
+    only weighs the choice.  ``changed=None`` marks every nonzero entry,
     which is exact for any nonnegative input.
     """
     cur = as_dense(current)
@@ -199,12 +201,11 @@ def completion_step(current, s: SimilarityMatrix, *, changed=None) -> np.ndarray
     rows = np.flatnonzero(pushes)
     if rows.size == 0:
         return out
-    cols = np.flatnonzero(changed[rows].any(axis=0))
-    reach = int(degree[rows].sum())
-    if int(pushes.sum()) * _PUSH_COST <= reach * cols.size + min(reach, s.dim) * _ROW_COST:
+    targets = np.count_nonzero(degree)
+    if int(pushes.sum()) * _PUSH_COST <= s.nnz * cur.shape[1] + targets * _ROW_COST:
         _scatter(out, cur, changed, s, rows)
     else:
-        _dense_block(out, cur, s, rows, cols)
+        _dense_block(out, cur, s)
     return out
 
 
@@ -234,52 +235,39 @@ def _scatter(out, cur, changed, s, rows):
         lo = hi
 
 
-def _dense_block(out, cur, s, rows, cols):
-    """The per-row multiply-max, reading only ``rows`` x ``cols`` of ``cur``.
+def _dense_block(out, cur, s):
+    """The full step's per-row multiply-max over every word with a neighbour.
 
-    A block of every column of a C-ordered ``cur`` that holds no -0.0
-    is read from ``cur`` in place; any other block is copied first.
+    Whole neighbour rows are read from ``cur`` in place, once ``cur`` is
+    C-ordered and holds no -0.0, which would give -0.0 candidates.
     """
-    into = s.matrix[:, rows]
-    indptr, indices, weights = into.indptr.tolist(), into.indices, into.data[:, None]
-    if cols.size == cur.shape[1] and cur.flags.c_contiguous and not np.signbit(cur).any():
-        block = cur
-        if rows.size < cur.shape[0]:
-            indices = rows.astype(indices.dtype)[indices]  # positions in rows -> rows of cur
-    else:
-        block = cur[np.ix_(rows, cols)]
-        block += 0.0  # a -0.0 entry would give -0.0 candidates
-    buf = np.empty((_GATHER_ROWS, cols.size))
-    acc = np.empty(cols.size)
-    best = np.empty(cols.size)
-    every = cols.size == out.shape[1]
-    for i in np.flatnonzero(np.diff(into.indptr)).tolist():
+    if not cur.flags.c_contiguous or np.signbit(cur).any():
+        cur = np.add(cur, 0.0, order="C")
+    indptr, indices, weights = s.matrix.indptr.tolist(), s.matrix.indices, s.matrix.data[:, None]
+    buf = np.empty((_GATHER_ROWS, cur.shape[1]))
+    acc = np.empty(cur.shape[1])
+    best = np.empty(cur.shape[1])
+    for i in np.flatnonzero(np.diff(s.matrix.indptr)).tolist():
         first, hi = indptr[i], indptr[i + 1]
         for lo in range(first, hi, _GATHER_ROWS):
             stop = min(lo + _GATHER_ROWS, hi)
             gathered = buf[:stop - lo]
             # mode="clip" fills the buffer in place; "raise" goes through a copy
-            np.take(block, indices[lo:stop], axis=0, out=gathered, mode="clip")
+            np.take(cur, indices[lo:stop], axis=0, out=gathered, mode="clip")
             gathered *= weights[lo:stop]
             if lo == first:
                 np.maximum.reduce(gathered, axis=0, out=acc)
             else:
                 np.maximum.reduce(gathered, axis=0, out=best)
                 np.maximum(acc, best, out=acc)
-        row = out[i]
-        if every:
-            np.maximum(row, acc, out=row)
-        else:
-            np.take(row, cols, out=best, mode="clip")
-            np.maximum(best, acc, out=best)
-            row[cols] = best
+        np.maximum(out[i], acc, out=out[i])
 
 
 def complete(initial, maxiter: int = 100):
     """Iterate :func:`completion_step` to the fixpoint.
 
-    The first step pushes every nonzero entry; each later step pushes
-    only the entries the step before it changed.  Stops at the first
+    The first step's mask marks every nonzero entry; each later step's
+    marks the entries the step before it changed.  Stops at the first
     step that leaves the matrix bitwise unchanged, which is the fixpoint
     because a step reads only its input, or at ``maxiter``.  Returns the
     completed dense matrix, whose zeros are +0.0, and a

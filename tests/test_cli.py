@@ -132,6 +132,29 @@ def test_corpus_build_empty_docs_fails(tmp_path):
     assert rc != 0
 
 
+@pytest.mark.parametrize("min_length", ["0", "-1"])
+def test_corpus_built_below_min_length_one_evaluates(corpus_dir, min_length):
+    # every text starts with a separator, which split off an empty term
+    # that vocabulary.txt could not hold, so index and eval stopped
+    (corpus_dir / "docs1.txt").write_text(DOCS.replace(".W\n", ".W\n1 "))
+    built = {}
+    for length in (min_length, "1"):
+        built[length] = corpus_dir / f"corpus{length}"
+        assert main(["corpus", "build", "--docs", str(corpus_dir / "docs1.txt"),
+                     "--min-length", length, "--out", str(built[length]), "--quiet"]) == 0
+    for name in ("matrix.mtx", "vocabulary.txt"):
+        assert (built[min_length] / name).read_bytes() == (built["1"] / name).read_bytes()
+    idx = corpus_dir / "idx"
+    assert main(["index", "--matrix", str(built[min_length] / "matrix.mtx"),
+                 "--method", "raw", "--out", str(idx), "--quiet"]) == 0
+    assert main(["eval", "--index", str(idx / "index.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"),
+                 "--out", str(corpus_dir / "eval"), "--quiet"]) == 0
+    report = json.loads((corpus_dir / "eval" / "eval.json").read_text())
+    assert len(report["per_query"]) == 2
+
+
 def test_index_raw_is_byte_identical(corpus_dir):
     out = corpus_dir / "idx_raw"
     rc = main(["index", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
@@ -531,6 +554,26 @@ def test_sweep_rejects_nmf_flags_before_reading_the_matrix(corpus_dir, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("maxiter", ["0", "-2"])
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_maxiter_below_one_is_rejected_before_reading_the_matrix(corpus_dir, monkeypatch,
+                                                                 command, maxiter):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} read the matrix before checking --maxiter")
+
+    monkeypatch.setattr(cli, "truncated_svd", never)
+    monkeypatch.setattr(cli.mmio, "read_matrix", never)
+    argv = {"index": ["--method", "complete"],
+            "sweep": ["--queries", str(corpus_dir / "queries.txt"),
+                      "--qrels", str(corpus_dir / "qrels.txt"), "--ranks", "1:2"]}[command]
+    out = corpus_dir / command
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"), *argv,
+              "--maxiter", maxiter, "--out", str(out), "--quiet"])
+    assert str(stop.value) == f"invalid --maxiter {maxiter}: must be at least 1"
+    assert not out.exists()
+
+
 def test_sweep_single_rank(corpus_dir):
     out = corpus_dir / "sweep1"
     rc = main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
@@ -567,6 +610,21 @@ def test_cluster_spectral_requires_alpha(tmp_path):
     with pytest.raises(SystemExit, match="alpha"):
         main(["cluster", "--matrix", str(tmp_path / "m.mtx"), "--method", "spectral",
               "--k", "2", "--out", str(tmp_path / "c"), "--quiet"])
+
+
+def test_cluster_kernel_flags_set_to_zero_reach_the_kernel(tmp_path, capsys):
+    write_matrix(tmp_path / "m.mtx", np.random.default_rng(0).random((2, 8)))
+    run = ["cluster", "--matrix", str(tmp_path / "m.mtx"), "--method", "spectral",
+           "--kernel", "polynomial", "--k", "2", "--quiet"]
+    # --d 0 used to run as degree 1
+    assert main([*run, "--d", "0", "--out", str(tmp_path / "d0")]) == 1
+    assert "polynomial kernel requires integer degree d >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "d0").exists()
+    # an unset flag still takes the kernel's default
+    assert main([*run, "--out", str(tmp_path / "unset")]) == 0
+    assert main([*run, "--d", "1", "--out", str(tmp_path / "d1")]) == 0
+    assert ((tmp_path / "unset" / "labels.csv").read_bytes()
+            == (tmp_path / "d1" / "labels.csv").read_bytes())
 
 
 def test_cluster_nmf_with_trials(tmp_path, monkeypatch):

@@ -131,6 +131,12 @@ def test_tokenize_numbers_are_separators():
     assert tokenize("alpha2beta 42 gamma") == ["alpha", "beta", "gamma"]
 
 
+@pytest.mark.parametrize("min_length", [1, 0, -1])
+def test_tokenize_never_returns_empty_tokens(min_length):
+    # a leading or trailing separator splits off an empty string
+    assert tokenize("1 abc, de.", min_length=min_length) == ["abc", "de"]
+
+
 def test_default_stoplist_contents():
     stops = default_stoplist()
     assert "the" in stops and "of" in stops and "is" in stops

@@ -399,40 +399,45 @@ def test_few_pushes_over_many_target_rows_take_the_scatter(kernel_calls):
     assert np.all(got[1:, 1] > 0)
 
 
-@pytest.fixture
-def copied_blocks(monkeypatch):
-    """Count the dense blocks gathered into a copy (``np.ix_`` builds their index)."""
-    calls = []
-    ix = np.ix_
-    monkeypatch.setattr(np, "ix_", lambda *args: calls.append(1) or ix(*args))
-    return calls
-
-
 @pytest.mark.parametrize("negative_zero", [False, True])
-def test_dense_block_read_in_place_equals_copied_block(monkeypatch, copied_blocks,
-                                                       negative_zero):
-    # every row and column has a nonzero entry and column 0 links every
-    # word pair, so the first step's dense block is all of ``a``
+def test_dense_block_read_in_place_equals_copied_block(monkeypatch, negative_zero):
+    # column 0 links every word pair and the last column stays zero; a
+    # Fortran-ordered input, or one holding -0.0 entries, is canonicalized
+    # before the dense block reads it
     monkeypatch.setattr(lsi, "_PUSH_COST", 10**9)
     rng = np.random.default_rng(41)
     a = rng.random((30, 12))
     a[rng.random(a.shape) < 0.5] = -0.0 if negative_zero else 0.0
     a[:, 0] = a[0] = 1.0
+    a[:, -1] = -0.0 if negative_zero else 0.0
     s = word_similarity(a)
     got = completion_step(a, s)
-    assert len(copied_blocks) == negative_zero  # -0.0 entries go through the copy
-    # a Fortran-ordered input is copied whatever it holds
     _assert_same_bytes(got, completion_step(np.asfortranarray(a), s))
-    assert len(copied_blocks) == 1 + negative_zero
     _assert_same_bytes(got, completion_step_oracle(a + 0.0, s))
     assert not np.signbit(got).any()
-    # pushing every third row reads those rows of ``a`` in place
+    # a mask of every third row still takes the dense block, and the full step
     changed = np.zeros(a.shape, dtype=bool)
     changed[::3] = True
     got = completion_step(a, s, changed=changed)
     _assert_same_bytes(got, completion_step(np.asfortranarray(a), s, changed=changed))
-    assert len(copied_blocks) == 2 + 2 * negative_zero
     assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("push_cost", [0, 10**9], ids=["scatter", "dense"])
+@pytest.mark.filterwarnings("ignore:.*zero rows")
+def test_any_mask_covering_the_changes_gives_the_full_step(monkeypatch, push_cost):
+    # masks that mark every changed entry plus random unchanged ones, at
+    # several densities, over the first steps of each input
+    monkeypatch.setattr(lsi, "_PUSH_COST", push_cost)
+    rng = np.random.default_rng(DIFF_SEED + 1)
+    for a, _, _ in _trials():
+        s = word_similarity(a)
+        cur, covers = a, a != 0  # the first step: every nonzero entry may push
+        for _ in range(3):
+            extra = rng.random(cur.shape) < rng.choice([0.0, 0.1, 0.5, 1.0])
+            want = completion_step_oracle(cur + 0.0, s)
+            _assert_same_bytes(completion_step(cur, s, changed=covers | extra), want)
+            cur, covers = want, want != cur
 
 
 def test_complete_norm_collision_matches_full_step_loop():
