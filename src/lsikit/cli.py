@@ -334,6 +334,8 @@ def cmd_eval(args):
     index_path = Path(args.index)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
+    if args.points < 2:
+        raise SystemExit(f"invalid --points {args.points}: must be at least 2")
     meta_path = index_path.parent / "index_meta.json"
     meta = _read_json(meta_path) if meta_path.exists() else {}
     index = _load_binary_index(index_path, meta)
@@ -398,6 +400,8 @@ def cmd_sweep(args):
         raise SystemExit(f"invalid --nmf-iterations {args.nmf_iterations}: must be at least 1")
     if args.maxiter < 1:
         raise SystemExit(f"invalid --maxiter {args.maxiter}: must be at least 1")
+    if args.points < 2:
+        raise SystemExit(f"invalid --points {args.points}: must be at least 2")
     matrix = mmio.read_matrix(args.matrix)
     dense = as_dense(matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])

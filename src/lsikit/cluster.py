@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import KernelSpec, degree_matrix, kernel_affinity, normalize_affinity
+from .graphs import KernelSpec, kernel_affinity, normalize_affinity
 from .matrix import (as_dense, column_normalize, frobenius_norm, kmeans, nmf_factorize,
                      symmetric_eigen_topk, truncated_svd)
 
@@ -73,12 +73,7 @@ def spectral_cluster(points, k: int, spec: KernelSpec, seed: int) -> ClusteringR
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    g = kernel_affinity(as_dense(points), spec)
-    deg = degree_matrix(g)
-    isolated = np.flatnonzero(deg == 0)
-    if isolated.size:
-        raise ValueError(f"isolated points {isolated.tolist()}: zero kernel row sum")
-    normalized = normalize_affinity(g)
+    normalized = normalize_affinity(kernel_affinity(as_dense(points), spec))
     pairs = symmetric_eigen_topk(normalized, k)
     embedding = _row_normalize(pairs.vectors)
     labels = kmeans(embedding, k, seed)

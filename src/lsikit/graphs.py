@@ -5,7 +5,11 @@ Normalization schemes name the clustering objective whose relaxation
 they serve: degree-weighted association/cuts (``nassoc``/``ncuts``,
 which coincide after the cuts-to-affinity substitution), identity-
 weighted ratio variants (``rassoc``/``rcuts``), and a general form with
-caller-supplied vertex weights (``gwassoc``).
+caller-supplied vertex weights (``gwassoc``).  ``directed_weights`` is
+the one function that maps a scheme to its vertex weights phi, for
+symmetric and directed graphs alike, and ``_inv_sqrt`` the one that
+rejects a zero or negative weight.  Degrees of a sparse graph are summed
+from its triplets, without densifying.
 """
 
 from __future__ import annotations
@@ -143,23 +147,21 @@ def kernel_affinity(points, spec: KernelSpec) -> AffinityGraph:
 
 
 def degree_matrix(g: AffinityGraph) -> np.ndarray:
-    """Row sums of the affinity weights, as a vector."""
-    return as_dense(g.weights).sum(axis=1)
+    """Row sums of the affinity weights, as a vector; a sparse graph's
+    triplets are summed without building its dense matrix."""
+    w = g.weights
+    if isinstance(w, SparseMatrix):
+        return np.bincount(w.row, weights=w.data, minlength=w.rows)
+    return as_dense(w).sum(axis=1)
 
 
-def _weight_diagonal(g: AffinityGraph, w: np.ndarray) -> np.ndarray:
-    if g.scheme == "gwassoc":
-        phi = g.phi
-    elif g.scheme in ("nassoc", "ncuts"):
-        phi = w.sum(axis=1)
-    else:
-        phi = np.ones(w.shape[0])
+def _inv_sqrt(phi: np.ndarray, what: str) -> np.ndarray:
+    """phi^(-1/2); a zero or negative weight leaves the normalization
+    undefined, and every vertex that has one is named."""
     bad = np.flatnonzero(phi <= 0)
     if bad.size:
-        raise ValueError(
-            f"normalization undefined for isolated/zero-weight vertices {bad.tolist()}"
-        )
-    return phi
+        raise ValueError(f"normalization undefined for {what} {bad.tolist()}")
+    return 1.0 / np.sqrt(phi)
 
 
 def normalize_affinity(g: AffinityGraph) -> np.ndarray:
@@ -174,8 +176,9 @@ def normalize_affinity(g: AffinityGraph) -> np.ndarray:
         affinity = np.eye(w.shape[0]) - np.diag(w.sum(axis=1)) + w
     else:
         affinity = w
-    phi = _weight_diagonal(g, w)
-    inv_sqrt = 1.0 / np.sqrt(phi)
+    # w is symmetric, so its out-degrees are its degrees
+    phi = directed_weights(w, g.scheme, g.phi).out_degrees
+    inv_sqrt = _inv_sqrt(phi, "isolated/zero-weight vertices")
     # outer-product scaling keeps the result exactly symmetric
     return affinity * np.outer(inv_sqrt, inv_sqrt)
 
@@ -202,16 +205,9 @@ def bipartite_normalize(a) -> np.ndarray:
     dense = as_dense(a)
     if dense.size and dense.min() < 0:
         raise ValueError("input must be nonnegative")
-    r = dense.sum(axis=1)
-    c = dense.sum(axis=0)
-    bad_rows = np.flatnonzero(r <= 0)
-    bad_cols = np.flatnonzero(c <= 0)
-    if bad_rows.size or bad_cols.size:
-        raise ValueError(
-            f"zero rows {bad_rows.tolist()} / columns {bad_cols.tolist()} "
-            "make the normalization undefined"
-        )
-    return dense / np.sqrt(r)[:, None] / np.sqrt(c)[None, :]
+    rows = _inv_sqrt(dense.sum(axis=1), "zero-sum rows")
+    cols = _inv_sqrt(dense.sum(axis=0), "zero-sum columns")
+    return dense * np.outer(rows, cols)
 
 
 def directed_weights(b, scheme: str = "nassoc", phi: np.ndarray | None = None) -> DirectedWeights:
@@ -244,17 +240,10 @@ def directed_symmetrize(b, scheme: str = "nassoc", phi: np.ndarray | None = None
     phi_io^(-1/2) (B + B^T) phi_io^(-1/2) with phi_io = sqrt(in * out)."""
     dense = as_dense(b)
     w = directed_weights(dense, scheme, phi)
-    bad = np.flatnonzero(w.combined <= 0)
-    if bad.size:
-        raise ValueError(
-            f"vertices {bad.tolist()} have zero in- or out-degree; "
-            "normalization undefined"
-        )
+    inv_sqrt = _inv_sqrt(w.combined, "vertices with zero in- or out-degree")
     # B + B^T is exactly symmetric (addition commutes), and so is the
     # outer scaling, so the result is symmetric bitwise
-    sym = dense + dense.T
-    inv_sqrt = 1.0 / np.sqrt(w.combined)
-    return sym * np.outer(inv_sqrt, inv_sqrt)
+    return (dense + dense.T) * np.outer(inv_sqrt, inv_sqrt)
 
 
 def diagonal_shift(h, sigma: float) -> np.ndarray:

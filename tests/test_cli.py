@@ -574,6 +574,30 @@ def test_maxiter_below_one_is_rejected_before_reading_the_matrix(corpus_dir, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ["1", "0", "-4"])
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_points_below_two_are_rejected_before_reading_the_matrix(corpus_dir, monkeypatch,
+                                                                command, points):
+    _index(corpus_dir, corpus_dir / "idx", "complete")
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} read the matrix before checking --points")
+
+    monkeypatch.setattr(cli, "truncated_svd", never)
+    monkeypatch.setattr(cli.mmio, "read_matrix", never)
+    monkeypatch.setattr(cli, "_sha256", never)  # the binary index is hashed before it is read
+    source = {"eval": ["--index", str(corpus_dir / "idx" / "index.mtx")],
+              "sweep": ["--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+                        "--ranks", "1:2"]}[command]
+    out = corpus_dir / command
+    with pytest.raises(SystemExit) as stop:
+        main([command, *source, "--queries", str(corpus_dir / "queries.txt"),
+              "--qrels", str(corpus_dir / "qrels.txt"), "--points", points,
+              "--out", str(out), "--quiet"])
+    assert str(stop.value) == f"invalid --points {points}: must be at least 2"
+    assert not out.exists()
+
+
 def test_sweep_single_rank(corpus_dir):
     out = corpus_dir / "sweep1"
     rc = main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),

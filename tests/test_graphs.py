@@ -62,6 +62,14 @@ def test_polynomial_negative_affinity_rejected():
         kernel_affinity(pts, KernelSpec("polynomial", c=0.0, d=1))
 
 
+def test_sigmoid_kernel_hand_example():
+    pts = np.array([[1.0, 1.0], [0.0, 1.0]])  # a_1 . a_1 = 1, a_1 . a_2 = 1, a_2 . a_2 = 2
+    g = kernel_affinity(pts, KernelSpec("sigmoid", c=0.5, theta=0.25))
+    np.testing.assert_allclose(g.weights, np.tanh([[0.75, 0.75], [0.75, 1.25]]), rtol=1e-15)
+    with pytest.raises(ValueError, match="sigmoid kernel produced negative"):
+        kernel_affinity(pts, KernelSpec("sigmoid", c=1.0, theta=-1.5))
+
+
 # ---------------------------------------------------------------------------
 # degrees and normalization
 
@@ -80,6 +88,32 @@ def test_degree_of_bipartite_embedding_row():
     g = bipartite_embed(SparseMatrix.from_dense(POLYSEMY))
     # the 'bank' word vertex is row 3: its degree is its row sum, 6
     assert degree_matrix(g)[3] == 6.0
+
+
+def test_sparse_degrees_match_the_dense_row_sums():
+    rng = np.random.default_rng(12)
+    a = np.where(rng.random((7, 4)) > 0.5, rng.random((7, 4)), 0.0)
+    a[3] = 0.0  # an isolated word vertex keeps degree 0
+    g = bipartite_embed(SparseMatrix.from_dense(a))
+    dense_sums = g.weights.toarray().sum(axis=1)
+    np.testing.assert_allclose(degree_matrix(g), dense_sums, rtol=1e-15, atol=0)
+    assert degree_matrix(g)[3] == 0.0
+
+
+def test_degrees_of_a_sparse_graph_stay_sparse():
+    rng = np.random.default_rng(13)
+    m, n, nnz = 2_000, 1_000, 20_000
+    flat = rng.choice(m * n, nnz, replace=False)
+    g = bipartite_embed(SparseMatrix(m, n, flat // n, flat % n, rng.random(nnz) + 0.1))
+    tracemalloc.start()
+    try:
+        degrees = degree_matrix(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert degrees.shape == (m + n,)
+    # the dense matrix of this order-3000 graph alone would take 72 MB
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_normalize_rassoc_is_identity_operation():
@@ -136,6 +170,16 @@ def test_normalize_rejects_isolated_vertex_with_list():
     g = AffinityGraph(w, "nassoc")
     with pytest.raises(ValueError, match=r"\[2\]"):
         normalize_affinity(g)
+
+
+def test_normalize_gwassoc_rejects_zero_and_negative_weights():
+    w = np.array([[0.0, 6.0], [6.0, 0.0]])
+    g = AffinityGraph(w, "gwassoc", phi=np.array([4.0, 0.0]))
+    with pytest.raises(ValueError, match=r"normalization undefined for isolated/zero-weight "
+                                         r"vertices \[1\]"):
+        normalize_affinity(g)
+    with pytest.raises(ValueError, match="degree weights must be nonnegative"):
+        normalize_affinity(AffinityGraph(w, "gwassoc", phi=np.array([-4.0, 9.0])))
 
 
 def test_normalization_preserves_zero_pattern():
@@ -195,6 +239,11 @@ def test_bipartite_normalize_rejects_zero_rows_and_columns():
         bipartite_normalize(a)
 
 
+def test_bipartite_normalize_names_every_zero_row_before_any_column():
+    with pytest.raises(ValueError, match=r"normalization undefined for zero-sum rows \[0, 2\]$"):
+        bipartite_normalize(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_embedding_then_normalizing_matches_rectangular_normalization():
     # degree-normalizing the square embedding and normalizing the
     # rectangle directly must produce the same off-diagonal block
@@ -248,6 +297,18 @@ def test_directed_rejects_zero_degree_vertices():
     b = np.array([[0.0, 1.0], [0.0, 0.0]])  # vertex 0 has no in-edges
     with pytest.raises(ValueError, match="zero in- or out-degree"):
         directed_symmetrize(b, "nassoc")
+
+
+def test_directed_weights_gwassoc_takes_phi_for_both_directions():
+    b = np.array([[0.0, 2.0], [1.0, 0.0]])
+    w = directed_weights(b, "gwassoc", phi=[4.0, 9.0])
+    np.testing.assert_array_equal(w.in_degrees, [4.0, 9.0])
+    np.testing.assert_array_equal(w.out_degrees, [4.0, 9.0])
+    np.testing.assert_array_equal(w.combined, [4.0, 9.0])
+    with pytest.raises(ValueError, match="gwassoc scheme requires an explicit phi"):
+        directed_weights(b, "gwassoc")
+    with pytest.raises(ValueError, match="unknown scheme 'fancy'"):
+        directed_weights(b, "fancy")
 
 
 def test_directed_weights_invariant():

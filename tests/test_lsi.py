@@ -8,6 +8,7 @@ import pytest
 from lsikit import lsi
 from lsikit.lsi import (
     CompletionTrace,
+    SimilarityMatrix,
     complete,
     completion_step,
     perfect_pair_percentage,
@@ -71,6 +72,20 @@ def test_similarity_rejects_negative_input():
 def test_similarity_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="finite"):
         word_similarity(np.array([[1.0, bad], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("dim, dense, problem", [
+    (3, [[0.0, 0.5], [0.5, 0.0]], "shape mismatch"),
+    (2, [[0.0, 0.5], [0.25, 0.0]], "exactly symmetric"),
+    (2, [[0.0, 1.5], [1.5, 0.0]], r"\[0, 1\]"),
+    (2, [[0.0, -0.5], [-0.5, 0.0]], r"\[0, 1\]"),
+    (2, [[0.5, 0.5], [0.5, 0.0]], "diagonal"),
+], ids=["shape", "asymmetric", "above-one", "negative", "stored-diagonal"])
+def test_similarity_matrix_construction_errors(dim, dense, problem):
+    from scipy import sparse as sp
+
+    with pytest.raises(ValueError, match=problem):
+        SimilarityMatrix(dim, sp.csr_matrix(np.array(dense)))
 
 
 # ---------------------------------------------------------------------------
