@@ -8,6 +8,9 @@ converted by its option's own type, exactly like the flag.  Every report
 carries a hash of all parsed parameters except ``--out``, ``--quiet``
 and ``--config``, for provenance.  Output files are staged and renamed
 into place, so a failing run leaves no partial outputs behind.
+Integer flags with a fixed least value (``_LEAST``) are checked once,
+config-file values included, before the command reads any input; ranks
+are checked against the matrix file's size line.
 ``eval`` and ``sweep`` read how a matrix's corpus was tokenized from
 the files beside the matrix, never through a recorded path, so a
 corpus or index directory can be moved and used from anywhere.
@@ -38,6 +41,9 @@ from .matrix import as_dense, nmf_factorize, rank_k_reconstruct, truncated_svd
 # dispatch entries and options that do not change what a run computes
 _UNHASHED = ("func", "parser_ref", "config", "out", "quiet")
 _TRUE_WORDS = ("1", "true", "yes", "on")
+# least values of the integer flags whose bound needs no input; main checks them
+# before the command reads anything
+_LEAST = {"maxiter": 1, "points": 2, "nmf_iterations": 1, "k": 1, "trials": 1, "seed": 0}
 
 
 def _config_hash(args) -> str:
@@ -232,8 +238,6 @@ def cmd_index(args):
             raise SystemExit("svd method requires --rank")
         if not 1 <= args.rank <= min(shape):
             raise SystemExit(f"invalid rank {args.rank}: must lie in [1, {min(shape)}]")
-    if args.method == "complete" and args.maxiter < 1:
-        raise SystemExit(f"invalid --maxiter {args.maxiter}: must be at least 1")
     vocab_path = Path(args.vocab or matrix_path.parent / "vocabulary.txt")
     if args.vocab is not None or vocab_path.exists():
         _read_vocabulary(vocab_path, shape[0])
@@ -334,8 +338,6 @@ def cmd_eval(args):
     index_path = Path(args.index)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
-    if args.points < 2:
-        raise SystemExit(f"invalid --points {args.points}: must be at least 2")
     meta_path = index_path.parent / "index_meta.json"
     meta = _read_json(meta_path) if meta_path.exists() else {}
     index = _load_binary_index(index_path, meta)
@@ -391,35 +393,25 @@ def cmd_sweep(args):
     """MAP of every SVD rank, of the completed matrix and of the NMF
     baseline.  The NMF factorizes the matrix as read, sparse, but
     retrieval scores the dense M x N product of its factors."""
-    limit = min(mmio.read_shape(args.matrix))
+    shape = mmio.read_shape(args.matrix)
+    limit = min(shape)
     ranks = _parse_ranks(args.ranks, limit)
     nmf_rank = args.nmf_rank if args.nmf_rank is not None else ranks[-1]
     if not 1 <= nmf_rank <= limit:
         raise SystemExit(f"invalid --nmf-rank {nmf_rank}: must lie in [1, {limit}]")
-    if args.nmf_iterations < 1:
-        raise SystemExit(f"invalid --nmf-iterations {args.nmf_iterations}: must be at least 1")
-    if args.maxiter < 1:
-        raise SystemExit(f"invalid --maxiter {args.maxiter}: must be at least 1")
-    if args.points < 2:
-        raise SystemExit(f"invalid --points {args.points}: must be at least 2")
     matrix = mmio.read_matrix(args.matrix)
-    dense = as_dense(matrix)
-    qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, dense.shape[0])
+    qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, shape[0])
 
-    full = truncated_svd(dense, min(dense.shape))
-    svd_means = [retrieval_mod.evaluate(qmatrix, rank_k_reconstruct(full, k), judgments,
-                                        args.points, query_ids=qids, doc_ids=doc_ids).mean_avgp
-                 for k in ranks]
+    def mean_avgp(index):
+        return retrieval_mod.evaluate(qmatrix, index, judgments, args.points,
+                                      query_ids=qids, doc_ids=doc_ids).mean_avgp
 
+    full = truncated_svd(matrix, limit)
+    svd_means = [mean_avgp(rank_k_reconstruct(full, k)) for k in ranks]
     completed, trace = lsi_mod.complete(matrix, args.maxiter)
-    completion_mean = retrieval_mod.evaluate(
-        qmatrix, completed, judgments, args.points,
-        query_ids=qids, doc_ids=doc_ids).mean_avgp
-
+    completion_mean = mean_avgp(completed)
     basis, coeff = nmf_factorize(matrix, nmf_rank, args.nmf_iterations, args.seed)
-    nmf_mean = retrieval_mod.evaluate(
-        qmatrix, basis @ coeff, judgments, args.points,
-        query_ids=qids, doc_ids=doc_ids).mean_avgp
+    nmf_mean = mean_avgp(basis @ coeff)
 
     best = int(np.argmax(svd_means))
     with _Stager(args.out) as stager:
@@ -462,10 +454,10 @@ def _read_reference_labels(path):
 
 
 def cmd_cluster(args):
+    if args.method == "spectral" and args.kernel == "gaussian" and args.alpha is None:
+        raise SystemExit("gaussian kernel requires --alpha")
     matrix = mmio.read_matrix(args.matrix)
     if args.method == "spectral":
-        if args.kernel == "gaussian" and args.alpha is None:
-            raise SystemExit("gaussian kernel requires --alpha")
         # unset flags take KernelSpec's defaults; a set one, even 0, is checked there
         spec = KernelSpec(args.kernel, **{k: getattr(args, k) for k in ("c", "d", "alpha", "theta")
                                           if getattr(args, k) is not None})
@@ -613,6 +605,10 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
+        for dest, least in _LEAST.items():
+            if (value := getattr(args, dest, least)) < least:
+                raise SystemExit(f"invalid --{dest.replace('_', '-')} {value}: "
+                                 f"must be at least {least}")
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

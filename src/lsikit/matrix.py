@@ -179,17 +179,11 @@ def _sign_fix(vectors):
     Ties in magnitude resolve to the lowest row index (argmax convention).
     Returns the flipped copy and the applied signs.
     """
-    out = np.array(vectors, dtype=float)
-    signs = np.ones(out.shape[1])
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        if col.size == 0:
-            continue
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-            signs[j] = -1.0
-    return out, signs
+    v = np.asarray(vectors, dtype=float)
+    signs = np.ones(v.shape[1])
+    if v.shape[0]:
+        signs[v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0] = -1.0
+    return v * signs, signs
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ LAPACK via numpy, direct evaluation of the unrolled propagation
 chains, cyclic Jacobi solvers independent of the LAPACK the library
 calls, the full per-row completion step and its fixpoint loop, a
 label-setting completion closure, a per-element Matrix Market array
-writer and reader, per-query retrieval evaluation, and the dense
-multiplicative-update NMF loop."""
+writer and reader, per-query retrieval evaluation, the dense
+multiplicative-update NMF loop, and the per-column sign convention
+loop."""
 
 import heapq
 import warnings
@@ -325,3 +326,19 @@ def zipf_matrix(seed, words=1400, docs=1000):
     for j in range(docs):
         np.add.at(counts[:, j], rng.choice(words, size=int(rng.integers(4, 12)), p=p), 1.0)
     return np.log1p(counts[counts.any(axis=1)])
+
+
+def sign_fix_oracle(vectors):
+    """Flip each column whose largest-magnitude entry (the lowest row
+    index among ties) is negative; the flipped copy and the signs."""
+    out = np.array(vectors, dtype=float)
+    signs = np.ones(out.shape[1])
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col.size == 0:
+            continue
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            out[:, j] = -col
+            signs[j] = -1.0
+    return out, signs

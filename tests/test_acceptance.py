@@ -141,8 +141,7 @@ def test_criterion_5_adi_end_to_end():
     full = truncated_svd(dense, min(dense.shape))
     means = []
     for k in range(1, 41):
-        approx = (full.left[:, :k] * full.values[:k]) @ full.right[:, :k].T
-        means.append(evaluate(qmatrix, approx, judgments, 11,
+        means.append(evaluate(qmatrix, rank_k_reconstruct(full, k), judgments, 11,
                               query_ids=qids, doc_ids=list(tdm.doc_ids)).mean_avgp)
     best_rank = int(np.argmax(means)) + 1
     best = means[best_rank - 1]

@@ -598,6 +598,46 @@ def test_points_below_two_are_rejected_before_reading_the_matrix(corpus_dir, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["sweep", "--seed", "-1"], "invalid --seed -1: must be at least 0"),
+    (["cluster", "--method", "spectral", "--alpha", "0.3", "--k", "2", "--seed", "-1"],
+     "invalid --seed -1: must be at least 0"),
+    (["cluster", "--method", "nmf", "--k", "0"], "invalid --k 0: must be at least 1"),
+    (["cluster", "--method", "nmf", "--k", "2", "--trials", "0"],
+     "invalid --trials 0: must be at least 1"),
+    (["sweep", "--config", "{cfg}"], "invalid --seed -1: must be at least 0"),
+    (["cluster", "--method", "nmf", "--k", "2", "--config", "{cfg}"],
+     "invalid --seed -1: must be at least 0"),
+], ids=["sweep-seed", "cluster-seed", "cluster-k", "cluster-trials",
+        "sweep-config-seed", "cluster-config-seed"])
+def test_integer_flags_below_their_least_value_stop_before_reading_the_matrix(
+        corpus_dir, monkeypatch, argv, problem):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} read the matrix before checking its flags")
+
+    monkeypatch.setattr(cli, "truncated_svd", never)
+    monkeypatch.setattr(cli.mmio, "read_matrix", never)
+    (corpus_dir / "run.cfg").write_text("seed=-1\n")
+    argv = [arg.format(cfg=corpus_dir / "run.cfg") for arg in argv]
+    if argv[0] == "sweep":
+        argv += ["--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"), "--ranks", "1:2"]
+    out = corpus_dir / argv[0]
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+              "--out", str(out), "--quiet"])
+    assert str(stop.value) == problem
+    assert not out.exists()
+
+
+def test_every_least_value_names_an_integer_option():
+    # a misspelt key would silently check nothing
+    assert set(cli._LEAST) <= cli._option_dests(cli.build_parser())
+    int_dests = {a.dest for _, parser in _leaf_parsers() for a in parser._actions
+                 if a.type is int}
+    assert set(cli._LEAST) <= int_dests
+
+
 def test_sweep_single_rank(corpus_dir):
     out = corpus_dir / "sweep1"
     rc = main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),

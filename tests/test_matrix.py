@@ -19,9 +19,10 @@ from lsikit.matrix import (
     symmetric_eigen_topk,
     truncated_svd,
 )
+from lsikit.matrix import _sign_fix
 
 from conftest import SYNONYMY, POLYSEMY, SYNONYMY_RANK2, POLYSEMY_RANK2
-from oracle_utils import nmf_dense_oracle
+from oracle_utils import nmf_dense_oracle, sign_fix_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,32 @@ def test_eigen_sign_convention_deterministic():
     for j in range(3):
         col = a.vectors[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def _sign_cases():
+    rng = np.random.default_rng(7)
+    for shape in [(0, 0), (0, 3), (3, 0), (1, 1), (5, 1), (1, 5)]:
+        yield rng.standard_normal(shape)
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        yield rng.standard_normal((m, n))
+        # magnitude ties of either sign and signed zeros
+        yield rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(m, n))
+        yield rng.standard_normal((m, 2 * n))[:, ::2]  # strided columns
+
+
+def test_sign_fix_equals_the_per_column_loop():
+    cases = 0
+    for v in _sign_cases():
+        before = v.tobytes()
+        got, got_signs = _sign_fix(v)
+        want, want_signs = sign_fix_oracle(v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_signs.tobytes() == want_signs.tobytes()
+        assert v.tobytes() == before  # the input is left as it was
+        cases += 1
+    assert cases == 606
 
 
 def test_eigen_rejects_asymmetry_with_report():
