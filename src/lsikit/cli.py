@@ -11,6 +11,10 @@ into place, so a failing run leaves no partial outputs behind.
 Integer flags with a fixed least value (``_LEAST``) are checked once,
 config-file values included, before the command reads any input; ranks
 are checked against the matrix file's size line.
+Every command runs numpy's OpenBLAS on the calling thread
+(:func:`lsikit.matrix.blas_on_calling_thread`), so its GEMMs, GEMVs,
+NMF and LAPACK calls, and with them every output byte, do not depend on
+the BLAS thread count.
 ``eval`` and ``sweep`` read how a matrix's corpus was tokenized from
 the files beside the matrix, never through a recorded path, so a
 corpus or index directory can be moved and used from anywhere.
@@ -35,7 +39,8 @@ from . import lsi as lsi_mod
 from . import mmio
 from . import retrieval as retrieval_mod
 from .graphs import KernelSpec
-from .matrix import as_dense, nmf_factorize, rank_k_reconstruct, truncated_svd
+from .matrix import (as_dense, blas_on_calling_thread, nmf_factorize, rank_k_reconstruct,
+                     truncated_svd)
 
 
 # dispatch entries and options that do not change what a run computes
@@ -401,10 +406,11 @@ def cmd_sweep(args):
         raise SystemExit(f"invalid --nmf-rank {nmf_rank}: must lie in [1, {limit}]")
     matrix = mmio.read_matrix(args.matrix)
     qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, shape[0])
+    prepared = retrieval_mod.prepare_queries(qmatrix, judgments, shape, args.points,
+                                             query_ids=qids, doc_ids=doc_ids)
 
     def mean_avgp(index):
-        return retrieval_mod.evaluate(qmatrix, index, judgments, args.points,
-                                      query_ids=qids, doc_ids=doc_ids).mean_avgp
+        return retrieval_mod.evaluate_prepared(prepared, index).mean_avgp
 
     full = truncated_svd(matrix, limit)
     svd_means = [mean_avgp(rank_k_reconstruct(full, k)) for k in ranks]
@@ -609,7 +615,8 @@ def main(argv=None) -> int:
             if (value := getattr(args, dest, least)) < least:
                 raise SystemExit(f"invalid --{dest.replace('_', '-')} {value}: "
                                  f"must be at least {least}")
-        return args.func(args)
+        with blas_on_calling_thread():
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,10 +6,18 @@ order.  Sparse matrices are immutable coordinate-triplet values
 one LAPACK call each (``numpy.linalg.eigh`` and ``numpy.linalg.svd``),
 followed by a stable sort and a fixed sign convention, so results are
 deterministic.
+
+Parallel BLAS and LAPACK sum in an order that depends on the thread
+count, so their last bits do too.  :func:`blas_on_calling_thread` runs
+numpy's OpenBLAS on the calling thread; both LAPACK calls hold it, so
+their factors are the same bytes at any BLAS thread count.  With another
+BLAS (MKL, Accelerate, a system library) it does nothing.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +167,51 @@ class EigenPairs:
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _openblas_threads_setter():
+    """numpy's ``openblas_set_num_threads_local``, or None when numpy's
+    BLAS is not OpenBLAS.  Looked up on first use, not at import."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        # dlsym on the extension also searches the libraries it links
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextmanager
+def blas_on_calling_thread():
+    """Run numpy's OpenBLAS on one thread, the caller's, inside the block.
+
+    A parallel reduction sums in an order that depends on the thread
+    count, so a block's GEMMs, GEMVs and LAPACK calls give the same bytes
+    at any ``OPENBLAS_NUM_THREADS``.  The count in force before is
+    restored on exit; blocks nest.  The setting is process-wide in
+    practice (another Python thread's BLAS calls see it too), so hold it
+    only around computation.  Without OpenBLAS this does nothing.
+    """
+    setter = _openblas_threads_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 
@@ -222,7 +275,8 @@ def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    values, vectors = np.linalg.eigh(a)
+    with blas_on_calling_thread():
+        values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     values = values[order][:k]
     vectors, _ = _sign_fix(vectors[:, order][:, :k])
@@ -242,9 +296,11 @@ def truncated_svd(a, k: int) -> SvdFactors:
     m, n = dense.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range [1, {min(m, n)}]")
-    # the wide orientation keeps LAPACK's output identical across BLAS thread counts
+    # LAPACK gets the wide orientation, whose output was thread-invariant even
+    # before the one-thread switch; the factors' bytes depend on it
     transposed = m > n
-    u, sig, vt = np.linalg.svd(dense.T if transposed else dense, full_matrices=False)
+    with blas_on_calling_thread():
+        u, sig, vt = np.linalg.svd(dense.T if transposed else dense, full_matrices=False)
     u, sig, v = u[:, :k], sig[:k], vt[:k].T
     if transposed:
         u, v = v, u

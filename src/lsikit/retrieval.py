@@ -144,27 +144,33 @@ def interpolated_avg_precision(ranking, relevant, points: int = 11) -> float:
     return float(_avg_precision(_relevance(ranking, [relevant]), [len(relevant)], points)[0])
 
 
-def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
-             doc_ids=None, meta=None) -> EvalReport:
-    """Average precision per query plus the mean over evaluated queries.
+@dataclass(frozen=True)
+class PreparedQueries:
+    """The evaluated queries of a run, ready to score against any index
+    of one shape: what :func:`prepare_queries` returns."""
 
-    ``queries`` is a Q x M matrix of query rows, ``judgments`` maps
-    query id to its set of relevant document ids.  Queries without
-    judgments, or with empty rows, are skipped with a warning and do not
-    enter the mean.  Query and document ids default to 1-based
-    positions.  All evaluated queries are scored, ranked and averaged
-    together, with the same results as :func:`score_query` and
-    :func:`interpolated_avg_precision` one query at a time.
-    """
+    shape: tuple  # (terms, documents) of the indexes they score
+    points: int
+    kept: tuple  # ids of the evaluated queries
+    rows: tuple  # their query rows
+    q_norms: np.ndarray
+    relevance: np.ndarray  # Q x N: is document j relevant to query q
+    r_totals: tuple  # relevant documents per query
+    skipped: tuple
+
+
+def prepare_queries(queries, judgments, shape, points: int = 11, query_ids=None,
+                    doc_ids=None) -> PreparedQueries:
+    """The index-independent half of :func:`evaluate`, for indexes of
+    ``shape`` (terms, documents): the checks, the skipped queries with
+    their warnings, the query norms and the relevance matrix.  Score it
+    with :func:`evaluate_prepared`, once per index."""
     if points < 2:
         raise ValueError("points must be at least 2")
     qm = np.atleast_2d(np.asarray(queries, dtype=float))
-    a = as_dense(index)
-    if qm.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"queries have {qm.shape[1]} terms but index has {a.shape[0]} rows"
-        )
-    n_docs = a.shape[1]
+    terms, n_docs = shape
+    if qm.shape[1] != terms:
+        raise ValueError(f"queries have {qm.shape[1]} terms but index has {terms} rows")
     if query_ids is None:
         query_ids = list(range(1, qm.shape[0] + 1))
     if doc_ids is None:
@@ -178,20 +184,50 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
     for qid, row in zip(query_ids, qm):
         relevant = judgments.get(qid)
         if not relevant:
-            warnings.warn(f"query {qid} has no relevance judgments; skipped", stacklevel=2)
+            warnings.warn(f"query {qid} has no relevance judgments; skipped", stacklevel=3)
             skipped.append(qid)
             continue
         if not row.any():
-            warnings.warn(f"query {qid} is empty; skipped", stacklevel=2)
+            warnings.warn(f"query {qid} is empty; skipped", stacklevel=3)
             skipped.append(qid)
             continue
-        q_norms.append(_query_norm(row, a.shape[0]))
+        q_norms.append(_query_norm(row, terms))
         kept.append(qid)
         rows.append(row)
         relevant_sets.append(relevant)
-    _, order = _rank(rows, np.array(q_norms), a, np.linalg.norm(a, axis=0))
-    hits = np.take_along_axis(_relevance(doc_ids, relevant_sets), order, axis=1)
-    avgp = _avg_precision(hits, [len(r) for r in relevant_sets], points)
-    per_query = [(qid, float(v)) for qid, v in zip(kept, avgp)]
+    return PreparedQueries(tuple(shape), points, tuple(kept), tuple(rows), np.array(q_norms),
+                           _relevance(doc_ids, relevant_sets),
+                           tuple(len(r) for r in relevant_sets), tuple(skipped))
+
+
+def evaluate_prepared(prepared: PreparedQueries, index, meta=None) -> EvalReport:
+    """:func:`evaluate` of the queries of ``prepared`` against ``index``,
+    which must have the shape they were prepared for."""
+    a = as_dense(index)
+    if a.shape != prepared.shape:
+        raise ValueError(f"index has shape {a.shape}, queries were prepared for {prepared.shape}")
+    _, order = _rank(prepared.rows, prepared.q_norms, a, np.linalg.norm(a, axis=0))
+    hits = np.take_along_axis(prepared.relevance, order, axis=1)
+    avgp = _avg_precision(hits, prepared.r_totals, prepared.points)
+    per_query = [(qid, float(v)) for qid, v in zip(prepared.kept, avgp)]
     mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
-    return EvalReport(tuple(per_query), mean, points, tuple(skipped), dict(meta or {}))
+    return EvalReport(tuple(per_query), mean, prepared.points, prepared.skipped,
+                      dict(meta or {}))
+
+
+def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
+             doc_ids=None, meta=None) -> EvalReport:
+    """Average precision per query plus the mean over evaluated queries.
+
+    ``queries`` is a Q x M matrix of query rows, ``judgments`` maps
+    query id to its set of relevant document ids.  Queries without
+    judgments, or with empty rows, are skipped with a warning and do not
+    enter the mean.  Query and document ids default to 1-based
+    positions.  All evaluated queries are scored, ranked and averaged
+    together, with the same results as :func:`score_query` and
+    :func:`interpolated_avg_precision` one query at a time.  It is
+    :func:`prepare_queries` followed by :func:`evaluate_prepared`.
+    """
+    a = as_dense(index)
+    prepared = prepare_queries(queries, judgments, a.shape, points, query_ids, doc_ids)
+    return evaluate_prepared(prepared, a, meta)

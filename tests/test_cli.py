@@ -480,6 +480,43 @@ def test_sweep_reads_its_matrix_once(corpus_dir, eval_spy):
     assert eval_spy["reads"] == 1
 
 
+def test_sweep_prepares_its_queries_once(corpus_dir, monkeypatch):
+    retrieval = cli.retrieval_mod
+    relevance, prepare, score = (retrieval._relevance, retrieval.prepare_queries,
+                                 retrieval.evaluate_prepared)
+    builds, prepared, scored = [], [], []
+
+    def counted_relevance(*args):
+        builds.append(args)
+        return relevance(*args)
+
+    def kept_prepare(*args, **kwargs):
+        prepared.append((args, kwargs))
+        return prepare(*args, **kwargs)
+
+    def kept_score(queries, index, meta=None):
+        scored.append(index)
+        return score(queries, index, meta)
+
+    monkeypatch.setattr(retrieval, "_relevance", counted_relevance)
+    monkeypatch.setattr(retrieval, "prepare_queries", kept_prepare)
+    monkeypatch.setattr(retrieval, "evaluate_prepared", kept_score)
+    out = corpus_dir / "sweep"
+    assert main(["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+                 "--queries", str(corpus_dir / "queries.txt"),
+                 "--qrels", str(corpus_dir / "qrels.txt"),
+                 "--ranks", "1:3", "--out", str(out), "--quiet"]) == 0
+    assert len(builds) == len(prepared) == 1
+    assert len(scored) == 5  # three ranks, the completion and the NMF product
+    # every mean is the one evaluate gives for that matrix alone, bit for bit
+    monkeypatch.undo()
+    (queries, judgments, _, points), kwargs = prepared[0]
+    want = [retrieval.evaluate(queries, index, judgments, points, **kwargs).mean_avgp
+            for index in scored]
+    summary = json.loads((out / "sweep.json").read_text())
+    assert [*summary["svd"], summary["completion"], summary["nmf"]] == want
+
+
 def test_sweep_csv_layout_and_determinism(corpus_dir):
     out = corpus_dir / "sweep"
     args = ["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
@@ -1012,6 +1049,78 @@ def test_importing_cli_leaves_scipy_unloaded():
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_importing_cli_does_not_look_up_openblas():
+    # the lookup opens numpy's extension through ctypes; the first command does it
+    code = "import lsikit.cli, lsikit.matrix as m; print(m._openblas_threads_setter.cache_info())"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert "misses=0" in out.stdout
+
+
+def _made_up_word(i):
+    word = ""
+    while True:
+        i, rem = divmod(i, 26)
+        word = chr(ord("a") + rem) + word
+        if not i:
+            return "qz" + word  # no stop word starts with qz
+
+
+def _zipf_smart(rng, count, lengths, words=6000):
+    p = 1.0 / np.arange(1, words + 1) ** 0.9
+    p /= p.sum()
+    return "".join(
+        f".I {i}\n.W\n" + " ".join(_made_up_word(int(w)) for w in rng.choice(
+            words, size=int(rng.integers(*lengths)), p=p)) + "\n"
+        for i in range(1, count + 1))
+
+
+_COMMANDS_SCRIPT = """
+import json, sys
+from lsikit.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_command_outputs_identical_across_blas_thread_counts(tmp_path):
+    # 300 documents: before the commands ran BLAS on the calling thread,
+    # the files of the SVD index differed between 1 and 2 OpenBLAS threads
+    rng = np.random.default_rng(11)
+    (tmp_path / "docs.txt").write_text(_zipf_smart(rng, 300, (15, 42)))
+    (tmp_path / "queries.txt").write_text(_zipf_smart(rng, 20, (6, 14)))
+    (tmp_path / "qrels.txt").write_text("".join(
+        f"{q} {d}\n" for q in range(1, 21) for d in sorted(rng.choice(300, 8, replace=False) + 1)))
+    assert main(["corpus", "build", "--docs", str(tmp_path / "docs.txt"),
+                 "--out", str(tmp_path / "corpus"), "--quiet"]) == 0
+    matrix = str(tmp_path / "corpus" / "matrix.mtx")
+    q = ["--queries", str(tmp_path / "queries.txt"), "--qrels", str(tmp_path / "qrels.txt")]
+    commands = [  # relative outputs, so the two runs hash the same parameters
+        ["index", "--matrix", matrix, "--method", "svd", "--rank", "30", "--out", "index"],
+        ["eval", "--index", "index/index.mtx", *q, "--csv", "--out", "eval"],
+        ["sweep", "--matrix", matrix, *q, "--ranks", "10,30,100", "--nmf-rank", "100",
+         "--nmf-iterations", "5", "--maxiter", "2", "--out", "sweep"],
+        ["cluster", "--matrix", matrix, "--method", "nmf", "--k", "8", "--trials", "2",
+         "--out", "cluster"],
+    ]
+    outputs = []
+    for threads in (1, 2):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        env = _child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT,
+                        json.dumps([[*argv, "--quiet"] for argv in commands])],
+                       env=env, cwd=run_dir, check=True, timeout=600)
+        outputs.append({p.relative_to(run_dir).as_posix(): p.read_bytes()
+                        for p in run_dir.rglob("*") if p.is_file()})
+    one, two = outputs
+    assert {"index/index.npy", "eval/eval.csv", "sweep/sweep.json", "cluster/labels.csv"} <= set(one)
+    assert sorted(one) == sorted(two)
+    assert [name for name in sorted(one) if one[name] != two[name]] == []
 
 
 def test_queries_inherit_the_corpus_tokenizer(corpus_dir, monkeypatch):

@@ -491,6 +491,44 @@ def test_complete_keeps_less_than_three_copies():
     assert peak < 3.1 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"
 
 
+@pytest.mark.parametrize("entries", [1, 7])
+@pytest.mark.filterwarnings("ignore:.*zero rows")
+def test_scatter_in_blocks_of_rows_equals_full_step(monkeypatch, entries):
+    # a block takes whole rows: 1 gives one row a block, 7 several rows
+    monkeypatch.setattr(lsi, "_PUSH_COST", 0)
+    monkeypatch.setattr(lsi, "_SCATTER_ENTRIES", entries)
+    for a, _, _ in _trials():
+        s = word_similarity(a)
+        cur, changed = a + 0.0, None
+        for _ in range(3):
+            want = completion_step_oracle(cur + 0.0, s)
+            _assert_same_bytes(completion_step(cur, s, changed=changed), want)
+            cur, changed = want, want != cur
+
+
+def test_scatter_indexes_changed_entries_a_block_of_rows_at_a_time():
+    a = zipf_matrix(0)
+    s = word_similarity(a)
+    cur, changed = a + 0.0, None
+    for _ in range(3):
+        nxt = completion_step(cur, s, changed=changed)
+        cur, changed = nxt, nxt != cur
+    entries = np.count_nonzero(changed, axis=1)
+    rows = np.flatnonzero(entries * np.diff(s.matrix.indptr))
+    out = cur + 0.0
+    lsi._scatter(cur + 0.0, cur, changed, s, rows[:1], entries[rows[:1]])  # warm-up
+    tracemalloc.start()
+    try:
+        lsi._scatter(out, cur, changed, s, rows, entries[rows])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_bytes(out, completion_step_oracle(cur, s))
+    # step 4's 84k changed entries took 6.3 MiB when indexed all at once
+    assert entries.sum() > 80_000
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_step_rejects_mask_of_wrong_shape():
     s = word_similarity(np.eye(3))
     with pytest.raises(ValueError, match="mask"):

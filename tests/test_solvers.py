@@ -2,6 +2,8 @@
 BLAS thread counts, and agreement with plain-loop cyclic Jacobi oracles on
 tall, wide, rank-deficient and repeated-spectrum inputs."""
 
+import ctypes
+import functools
 import os
 import subprocess
 import sys
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 import lsikit
-from lsikit.matrix import EPS, rank_k_reconstruct, symmetric_eigen_topk, truncated_svd
+from lsikit import matrix
+from lsikit.matrix import (EPS, blas_on_calling_thread, rank_k_reconstruct, symmetric_eigen_topk,
+                           truncated_svd)
 
 from oracle_utils import jacobi_eigh_oracle, jacobi_svd_oracle, random_orthonormal
 
@@ -22,10 +26,21 @@ EIGEN_KINDS = ("random", "rank_deficient", "diagonal_ties", "repeated")
 
 # Zipf-weighted term-document matrices at ADI size (about 1.2k x 82):
 # uniform random matrices do not expose thread-dependent LAPACK paths.
+# The 3076 x 300 SVD, the 400 x 400 eigenproblem and the rank-100 NMF
+# differed in the last bits between 1 and 2 OpenBLAS threads before
+# the solvers ran BLAS on the calling thread.  The NMF runs under the
+# switch, as every CLI command does.  With argument "off" the switch
+# finds no OpenBLAS and does nothing.
 _THREAD_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
-from lsikit.matrix import symmetric_eigen_topk, truncated_svd
+from lsikit import matrix
+from lsikit.matrix import (blas_on_calling_thread, nmf_factorize, symmetric_eigen_topk,
+                           truncated_svd)
+
+if sys.argv[1:] == ["off"]:
+    matrix._openblas_threads_setter = lambda: None
 
 def zipf_matrix(seed, words=10000, docs=82):
     rng = np.random.default_rng(seed)
@@ -37,34 +52,109 @@ def zipf_matrix(seed, words=10000, docs=82):
     return np.log1p(counts[counts.any(axis=1)])
 
 h = hashlib.sha1()
-for seed in range(4):
-    a = zipf_matrix(seed)
+for a in [zipf_matrix(seed) for seed in range(4)] + [zipf_matrix(0, docs=300)]:
     f = truncated_svd(a, min(a.shape))
     for x in (f.left, f.values, f.right):
         h.update(x.tobytes())
-x = np.random.default_rng(99).standard_normal((200, 200))
-pairs = symmetric_eigen_topk(x + x.T, 200)
-h.update(pairs.values.tobytes())
-h.update(pairs.vectors.tobytes())
+for n in (200, 400):
+    x = np.random.default_rng(99).standard_normal((n, n))
+    pairs = symmetric_eigen_topk(x + x.T, n)
+    h.update(pairs.values.tobytes())
+    h.update(pairs.vectors.tobytes())
+with blas_on_calling_thread():
+    for x in nmf_factorize(zipf_matrix(0, docs=300), 100, 5, 0):
+        h.update(x.tobytes())
 print(h.hexdigest())
 """
 
 
-def _digest_at(threads):
+@functools.cache
+def _digest_at(threads, *args, script=_THREAD_SCRIPT):
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     src = str(Path(lsikit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", _THREAD_SCRIPT], env=env, check=True,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", script, *args], env=env, check=True,
+        capture_output=True, text=True, timeout=600,
     )
     return out.stdout.strip()
 
 
 def test_outputs_identical_across_blas_thread_counts():
     assert _digest_at(1) == _digest_at(2)
+
+
+def test_without_openblas_the_switch_changes_no_byte():
+    # no switch at 1 thread gives the bytes the switch gives at 2
+    assert _digest_at(1, "off") == _digest_at(2)
+
+
+def test_switch_runs_one_thread_and_restores_the_count():
+    setter = matrix._openblas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+
+    def count():
+        n = setter(1)
+        setter(n)
+        return n
+
+    before = count()
+    with blas_on_calling_thread():
+        assert count() == 1
+        with blas_on_calling_thread():
+            assert count() == 1
+        assert count() == 1
+    assert count() == before
+    with pytest.raises(RuntimeError), blas_on_calling_thread():
+        raise RuntimeError
+    assert count() == before
+
+
+def test_switch_does_nothing_when_the_symbol_is_absent(monkeypatch):
+    class NoOpenBlas:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoOpenBlas)
+    matrix._openblas_threads_setter.cache_clear()
+    try:
+        assert matrix._openblas_threads_setter() is None
+        a = np.random.default_rng(3).random((40, 9))
+        with blas_on_calling_thread():
+            f = truncated_svd(a, 9)
+    finally:
+        matrix._openblas_threads_setter.cache_clear()
+    assert rank_k_reconstruct(f).tobytes() == rank_k_reconstruct(truncated_svd(a, 9)).tobytes()
+
+
+# The shape of the paper's Medline matrix (8237 x 1033, 62k nonzeros):
+# its full SVD, the rank-30 reconstruction GEMM and a query GEMV, under
+# the switch as in the CLI.
+_MED_SCRIPT = """
+import hashlib
+import numpy as np
+from lsikit.matrix import blas_on_calling_thread, rank_k_reconstruct, truncated_svd
+
+rng = np.random.default_rng(5)
+a = np.zeros((8237, 1033))
+a[rng.integers(0, 8237, 62075), rng.integers(0, 1033, 62075)] = np.log1p(rng.integers(1, 4, 62075))
+h = hashlib.sha1()
+with blas_on_calling_thread():
+    f = truncated_svd(a, 1033)
+    a30 = rank_k_reconstruct(f, 30)
+    q = np.where(rng.random(8237) < 0.002, 1.0, 0.0)
+    for x in (f.left, f.values, f.right, a30, q @ a30):
+        h.update(x.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.slow
+def test_medline_shape_identical_across_blas_thread_counts():
+    assert _digest_at(1, script=_MED_SCRIPT) == _digest_at(2, script=_MED_SCRIPT)
 
 
 # ---------------------------------------------------------------------------
