@@ -233,6 +233,14 @@ def _load_binary_index(index_path, meta):
     return np.load(array_path, allow_pickle=False)
 
 
+def _read_matrix(path):
+    """The matrix at ``path``: a ``.npy`` file as a 2-D array (pickled
+    objects are refused), any other file as Matrix Market."""
+    if Path(path).suffix == ".npy":
+        return as_dense(np.load(path, allow_pickle=False))
+    return mmio.read_matrix(path)
+
+
 def cmd_index(args):
     matrix_path = Path(args.matrix)
     if not matrix_path.exists():
@@ -345,9 +353,9 @@ def cmd_eval(args):
         raise SystemExit(f"index file not found: {index_path}")
     meta_path = index_path.parent / "index_meta.json"
     meta = _read_json(meta_path) if meta_path.exists() else {}
-    index = _load_binary_index(index_path, meta)
+    index = None if index_path.suffix == ".npy" else _load_binary_index(index_path, meta)
     if index is None:
-        index = as_dense(mmio.read_matrix(index_path))
+        index = as_dense(_read_matrix(index_path))
     qmatrix, qids, doc_ids, judgments = _load_queries(args, index_path, index.shape[0])
     run_meta = {
         "type": meta.get("method", "unknown"),
@@ -462,7 +470,7 @@ def _read_reference_labels(path):
 def cmd_cluster(args):
     if args.method == "spectral" and args.kernel == "gaussian" and args.alpha is None:
         raise SystemExit("gaussian kernel requires --alpha")
-    matrix = mmio.read_matrix(args.matrix)
+    matrix = _read_matrix(args.matrix)
     if args.method == "spectral":
         # unset flags take KernelSpec's defaults; a set one, even 0, is checked there
         spec = KernelSpec(args.kernel, **{k: getattr(args, k) for k in ("c", "d", "alpha", "theta")
@@ -556,8 +564,9 @@ def build_parser():
 
     eval_p = sub.add_parser("eval", help="evaluate queries against an index")
     eval_p.add_argument("--index", required=True,
-                        help="index matrix (Matrix Market); a sibling index.npy matching "
-                             "the digests in the sibling index_meta.json is loaded instead")
+                        help="index matrix: a .npy array, or Matrix Market text for which "
+                             "a sibling index.npy matching the digests in the sibling "
+                             "index_meta.json is loaded instead")
     eval_p.add_argument("--queries", required=True, help="SMART query file")
     eval_p.add_argument("--qrels", required=True, help="relevance judgments file")
     _add_query_options(eval_p)
@@ -580,7 +589,7 @@ def build_parser():
     sweep_p.set_defaults(func=cmd_sweep, parser_ref=sweep_p)
 
     cluster_p = sub.add_parser("cluster", help="cluster a matrix")
-    cluster_p.add_argument("--matrix", required=True, help="Matrix Market input")
+    cluster_p.add_argument("--matrix", required=True, help="Matrix Market input or .npy array")
     cluster_p.add_argument("--method", required=True, choices=("spectral", "bipartite-svd", "nmf"))
     cluster_p.add_argument("--k", type=int, required=True, help="number of clusters")
     cluster_p.add_argument("--kernel", default="gaussian", choices=("gaussian", "polynomial", "sigmoid"))

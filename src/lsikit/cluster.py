@@ -103,9 +103,8 @@ def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) ->
 
     The factorization runs ``trials`` times, trial t seeded ``seed + t``;
     ``labels`` are those of the trial with the smallest reconstruction
-    error (the first on ties) and ``trial_labels`` those of every trial.
-    Use :func:`nmf_trial_scores` to average quality metrics over the
-    trials.
+    error (the first on ties) and ``trial_labels`` those of every trial,
+    whose quality metrics :func:`mean_scores` averages.
 
     ``a`` may be dense or sparse; it is normalized and factorized without
     densifying.  The one dense M x N buffer is each trial's residual
@@ -126,13 +125,6 @@ def nmf_cluster(a, k: int, seed: int, trials: int = 1, iterations: int = 200) ->
         if err < best_err:
             best, best_err = t, err
     return ClusteringRun(trial_labels[best], k, "nmf", seed, tuple(trial_labels))
-
-
-def nmf_trial_scores(a, reference, k: int, seed: int, trials: int,
-                     iterations: int = 200) -> QualityScores:
-    """Quality metrics of repeated factorization runs, averaged."""
-    run = nmf_cluster(a, k, seed, trials, iterations)
-    return mean_scores(eval_clustering(labels, reference) for labels in run.trial_labels)
 
 
 def eval_clustering(labels, reference) -> QualityScores:
@@ -224,20 +216,6 @@ def two_rings(n_per_ring: int = 100, radii=(1.0, 5.0), noise: float = 0.0, seed:
         columns.append(pts)
         labels.extend([ring] * n_per_ring)
     return np.concatenate(columns, axis=1), np.array(labels, dtype=np.int64)
-
-
-def two_moons(n_per_moon: int = 100, noise: float = 0.0, seed: int = 0):
-    """Two interleaved half circles (unit radius, standard offsets).
-    Returns (points as 2 x N columns, moon labels)."""
-    rng = np.random.default_rng(seed)
-    t = np.pi * np.arange(n_per_moon) / max(n_per_moon - 1, 1)
-    upper = np.stack([np.cos(t), np.sin(t)])
-    lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
-    pts = np.concatenate([upper, lower], axis=1)
-    if noise > 0:
-        pts = pts + noise * rng.standard_normal(pts.shape)
-    labels = np.array([0] * n_per_moon + [1] * n_per_moon, dtype=np.int64)
-    return pts, labels
 
 
 def label_accuracy(labels, reference) -> float:

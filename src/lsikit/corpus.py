@@ -20,7 +20,6 @@ from importlib import resources
 import numpy as np
 
 from .matrix import SparseMatrix
-from .matrix import column_normalize as normalize_matrix_columns
 
 KNOWN_FIELDS = ("T", "A", "B", "W")
 DEFAULT_MIN_LENGTH = 2
@@ -246,12 +245,6 @@ def log_scale(m: TermDocMatrix) -> TermDocMatrix:
     s = m.matrix
     scaled = SparseMatrix(s.rows, s.cols, s.row, s.col, np.log1p(s.data))
     return TermDocMatrix(scaled, m.vocabulary, m.doc_ids)
-
-
-def column_normalize(m: TermDocMatrix) -> TermDocMatrix:
-    """:func:`lsikit.matrix.column_normalize` of the matrix, keeping its
-    vocabulary and document ids."""
-    return TermDocMatrix(normalize_matrix_columns(m.matrix), m.vocabulary, m.doc_ids)
 
 
 def build_query_matrix(queries, vocab: Vocabulary, config: TokenizerConfig = TokenizerConfig(),

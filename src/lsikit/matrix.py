@@ -333,37 +333,6 @@ def column_normalize(a) -> SparseMatrix:
     return SparseMatrix(s.rows, s.cols, s.row, s.col, s.data / np.sqrt(d[s.col]))
 
 
-def _nmf_checked(a, k, iterations):
-    """``a`` as a :class:`SparseMatrix`, as CSR and as CSR of its transpose."""
-    s = _as_sparse(a)
-    if s.nnz and s.data.min() < 0:
-        raise ValueError("input must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    csr = s.tocsr()
-    return s, csr, csr.T.tocsr()
-
-
-def _nmf_init(m, n, k, seed):
-    rng = np.random.default_rng(seed)
-    # uniform in (0, 1]: multiplicative updates must never start at zero
-    return 1.0 - rng.random((m, k)), 1.0 - rng.random((k, n))
-
-
-def _nmf_step(a, at, b, c):
-    # A enters only through B^T A = (A^T B)^T and A C^T, both taken on CSR.
-    # Factor entries decay towards 0 and underflow; those below the smallest
-    # normal float are set to 0 at once, because arithmetic on subnormals is
-    # several times slower and adds nothing to a sum of normal-range terms.
-    c *= (at @ b).T / (b.T @ b @ c + _NMF_GUARD)
-    c *= c >= _NMF_TINY
-    b *= (a @ c.T) / (b @ (c @ c.T) + _NMF_GUARD)
-    b *= b >= _NMF_TINY
-    return b, c
-
-
 def nmf_factorize(a, k: int, iterations: int, seed: int):
     """Nonnegative factorization A ~ B C by multiplicative updates.
 
@@ -377,26 +346,28 @@ def nmf_factorize(a, k: int, iterations: int, seed: int):
 
     Returns ``(basis, coefficients)`` of shapes (M, k) and (k, N).
     """
-    _, csr, csr_t = _nmf_checked(a, k, iterations)
-    b, c = _nmf_init(*csr.shape, k, seed)
+    s = _as_sparse(a)
+    if s.nnz and s.data.min() < 0:
+        raise ValueError("input must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    csr = s.tocsr()
+    csr_t = csr.T.tocsr()
+    rng = np.random.default_rng(seed)
+    # uniform in (0, 1]: multiplicative updates must never start at zero
+    b, c = 1.0 - rng.random((s.rows, k)), 1.0 - rng.random((k, s.cols))
     for _ in range(iterations):
-        b, c = _nmf_step(csr, csr_t, b, c)
+        # A enters only through B^T A = (A^T B)^T and A C^T, both taken on CSR.
+        # Factor entries decay towards 0 and underflow; those below the smallest
+        # normal float are set to 0 at once, because arithmetic on subnormals is
+        # several times slower and adds nothing to a sum of normal-range terms.
+        c *= (csr_t @ b).T / (b.T @ b @ c + _NMF_GUARD)
+        c *= c >= _NMF_TINY
+        b *= (csr @ c.T) / (b @ (c @ c.T) + _NMF_GUARD)
+        b *= b >= _NMF_TINY
     return b, c
-
-
-def nmf_objective_trace(a, k: int, iterations: int, seed: int) -> np.ndarray:
-    """Frobenius error after each multiplicative update, same run as
-    :func:`nmf_factorize` with identical arguments.  Each error is taken
-    over a dense M x N residual B C - A."""
-    s, csr, csr_t = _nmf_checked(a, k, iterations)
-    b, c = _nmf_init(*csr.shape, k, seed)
-    errors = np.empty(iterations)
-    for i in range(iterations):
-        b, c = _nmf_step(csr, csr_t, b, c)
-        residual = b @ c
-        residual[s.row, s.col] -= s.data
-        errors[i] = np.linalg.norm(residual)
-    return errors
 
 
 # ---------------------------------------------------------------------------

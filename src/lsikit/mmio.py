@@ -191,9 +191,3 @@ def read_matrix(path):
     if values.size != rows * cols:
         raise ValueError(f"expected {rows * cols} tokens, found {values.size}")
     return values.reshape((cols, rows)).T
-
-
-def read_banner(path) -> str:
-    """First line of the file, stripped of the newline only."""
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.readline().rstrip("\n")

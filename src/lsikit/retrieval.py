@@ -1,11 +1,11 @@
 """Vector-space retrieval and interpolated average-precision evaluation.
 
 Queries are scored by cosine against every document column of an index
-matrix.  Effectiveness is summarized by pseudo-precision (the best
-precision among ranking cutoffs whose recall reaches a requested level)
-averaged over evenly spaced recall levels; the level comparisons are
-done in exact integer arithmetic so the endpoints carry no floating
-drift.
+matrix.  Effectiveness is summarized per query by interpolated average
+precision: the best precision among ranking cutoffs whose recall
+reaches a level, averaged over evenly spaced recall levels; the level
+comparisons are done in exact integer arithmetic so the endpoints carry
+no floating drift.
 """
 
 from __future__ import annotations
@@ -92,56 +92,20 @@ def _relevance(doc_ids, relevant_sets):
     return rel
 
 
-def _curve(hits):
-    """Relevant documents found, and precision, at every cutoff of each
-    row of a rank-ordered relevance matrix."""
-    r = np.cumsum(hits, axis=1, dtype=np.int64)
-    return r, r / np.arange(1, hits.shape[1] + 1)
-
-
-def _best_precision(p, reached):
-    """Per row, the largest precision among reached cutoffs, else 0."""
-    return np.where(reached, p, 0.0).max(axis=1, initial=0.0)
-
-
 def _avg_precision(hits, r_totals, points):
-    """Interpolated average precision of each row of ``hits``, whose
-    query has ``r_totals[q]`` relevant documents; see
-    :func:`interpolated_avg_precision`."""
-    r, p = _curve(hits)
+    """Interpolated average precision of each row of ``hits``, a
+    rank-ordered relevance matrix whose query has ``r_totals[q]``
+    relevant documents.  The level test "l/(points-1) <= r_n/r_N" is
+    evaluated as ``l * r_N <= r_n * (points - 1)`` in integers, exact at
+    both ends."""
+    r = np.cumsum(hits, axis=1, dtype=np.int64)
+    p = r / np.arange(1, hits.shape[1] + 1)
     r_total = np.array(r_totals, dtype=np.int64)[:, None]
     steps = points - 1
     acc = np.zeros(hits.shape[0])
     for level in range(points):
-        acc += _best_precision(p, level * r_total <= r * steps)
+        acc += np.where(level * r_total <= r * steps, p, 0.0).max(axis=1, initial=0.0)
     return acc / points
-
-
-def pseudo_precision(ranking, relevant, x: float) -> float:
-    """Best precision over cutoffs whose recall reaches level ``x``.
-
-    ``ranking`` is a sequence of document ids, best first; ``relevant``
-    the nonempty set of relevant ids; 0 when no cutoff reaches ``x``.
-    """
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("recall level must lie in [0, 1]")
-    r, p = _curve(_relevance(ranking, [relevant]))
-    return float(_best_precision(p, r / len(relevant) >= x)[0])
-
-
-def interpolated_avg_precision(ranking, relevant, points: int = 11) -> float:
-    """Mean pseudo-precision over recall levels 0, 1/(points-1), ..., 1.
-
-    The level test "l/(points-1) <= r_n/r_N" is evaluated as
-    ``l * r_N <= r_n * (points - 1)`` in integers, exact at both ends.
-    """
-    if points < 2:
-        raise ValueError("points must be at least 2")
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    return float(_avg_precision(_relevance(ranking, [relevant]), [len(relevant)], points)[0])
 
 
 @dataclass(frozen=True)
@@ -224,9 +188,8 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
     judgments, or with empty rows, are skipped with a warning and do not
     enter the mean.  Query and document ids default to 1-based
     positions.  All evaluated queries are scored, ranked and averaged
-    together, with the same results as :func:`score_query` and
-    :func:`interpolated_avg_precision` one query at a time.  It is
-    :func:`prepare_queries` followed by :func:`evaluate_prepared`.
+    together; each is ranked as :func:`score_query` ranks it alone.  It
+    is :func:`prepare_queries` followed by :func:`evaluate_prepared`.
     """
     a = as_dense(index)
     prepared = prepare_queries(queries, judgments, a.shape, points, query_ids, doc_ids)

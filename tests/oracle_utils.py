@@ -7,7 +7,8 @@ calls, the full per-row completion step and its fixpoint loop, a
 label-setting completion closure, a per-element Matrix Market array
 writer and reader, per-query retrieval evaluation, the dense
 multiplicative-update NMF loop, and the per-column sign convention
-loop."""
+loop.  The NMF error trace is the exception: it reruns the library's
+factorization, one more update each time."""
 
 import heapq
 import warnings
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 
 from lsikit.lsi import CompletionTrace, perfect_pair_percentage, word_similarity
-from lsikit.matrix import as_dense, frobenius_norm
+from lsikit.matrix import as_dense, frobenius_norm, nmf_factorize
 
 
 def cosine_rows_oracle(a):
@@ -314,6 +315,17 @@ def nmf_dense_oracle(a, k, iterations, seed):
         c *= (b.T @ dense) / (b.T @ b @ c + 1e-9)
         b *= (dense @ c.T) / (b @ (c @ c.T) + 1e-9)
     return b, c
+
+
+def nmf_error_trace(a, k, iterations, seed):
+    """Frobenius error ||B C - A|| after each of the first ``iterations``
+    updates: ``nmf_factorize`` rerun from ``seed`` for 1, 2, ... steps."""
+    dense = as_dense(a)
+    errors = []
+    for i in range(1, iterations + 1):
+        b, c = nmf_factorize(a, k, i, seed)
+        errors.append(np.linalg.norm(b @ c - dense))
+    return np.array(errors)
 
 
 def zipf_matrix(seed, words=1400, docs=1000):

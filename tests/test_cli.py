@@ -357,10 +357,10 @@ def _index(corpus_dir, out, method):
                  "--method", method, *rank, "--out", str(out), "--quiet"]) == 0
 
 
-def _eval_outputs(corpus_dir, idx, out, spy, *extra):
+def _eval_outputs(corpus_dir, idx, out, spy, *extra, name="index.mtx"):
     """eval.json and eval.csv bytes, the read count and the array ranked."""
     spy["reads"], spy["index"] = 0, []
-    assert main(["eval", "--index", str(idx / "index.mtx"),
+    assert main(["eval", "--index", str(idx / name),
                  "--queries", str(corpus_dir / "queries.txt"),
                  "--qrels", str(corpus_dir / "qrels.txt"), *extra,
                  "--out", str(out), "--csv", "--quiet"]) == 0
@@ -432,6 +432,60 @@ def test_eval_falls_back_to_text_unless_digests_match(corpus_dir, eval_spy, spoi
     want, _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_text", eval_spy)
     assert got == want
     _assert_same_array(ranked, parsed)
+
+
+@pytest.mark.parametrize("method", ["svd", "complete"])
+def test_eval_reads_an_npy_index_by_its_extension(corpus_dir, eval_spy, method):
+    idx = corpus_dir / f"idx_{method}"
+    _index(corpus_dir, idx, method)
+    (text_json, text_csv), _, parsed = _eval_outputs(corpus_dir, idx, corpus_dir / "e_mtx",
+                                                     eval_spy)
+    (npy_json, npy_csv), reads, loaded = _eval_outputs(corpus_dir, idx, corpus_dir / "e_npy",
+                                                       eval_spy, name="index.npy")
+    assert reads == 0
+    _assert_same_array(loaded, parsed)
+    assert npy_csv == text_csv
+    text_report, npy_report = json.loads(text_json), json.loads(npy_json)
+    # the config hash covers the --index path, and only it differs
+    assert text_report["index"].pop("config_hash") != npy_report["index"].pop("config_hash")
+    assert npy_report == text_report
+
+
+@pytest.mark.parametrize("method, flags", [("bipartite-svd", []), ("nmf", ["--trials", "2"]),
+                                           ("spectral", ["--alpha", "1.0"])])
+def test_cluster_reads_an_npy_matrix_by_its_extension(corpus_dir, method, flags):
+    idx = corpus_dir / "idx"
+    _index(corpus_dir, idx, "complete")
+    (corpus_dir / "ref.csv").write_text("0\n0\n0\n1\n1\n1\n")
+    outputs = []
+    for name in ("index.mtx", "index.npy"):
+        out = corpus_dir / name
+        assert main(["cluster", "--matrix", str(idx / name), "--method", method, "--k", "2",
+                     *flags, "--reference", str(corpus_dir / "ref.csv"),
+                     "--out", str(out), "--quiet"]) == 0
+        scores = json.loads((out / "scores.json").read_text())
+        outputs.append(((out / "labels.csv").read_bytes(), scores.pop("config_hash"), scores))
+    (text_labels, text_hash, text_scores), (npy_labels, npy_hash, npy_scores) = outputs
+    assert npy_labels == text_labels and npy_scores == text_scores
+    assert npy_hash != text_hash  # it covers the --matrix path
+
+
+@pytest.mark.parametrize("command", ["eval", "cluster"])
+def test_npy_input_that_is_pickled_or_not_a_matrix_fails_cleanly(corpus_dir, capsys, command):
+    bad = corpus_dir / "bad"
+    bad.mkdir()
+    np.save(bad / "pickled.npy", np.array([{"a": 1.0}], dtype=object), allow_pickle=True)
+    np.save(bad / "flat.npy", np.ones(6))
+    for name, problem in (("pickled.npy", "allow_pickle=False"), ("flat.npy", "2-D")):
+        out = corpus_dir / f"out_{name}"
+        if command == "eval":
+            argv = ["eval", "--index", str(bad / name), "--queries", str(corpus_dir / "queries.txt"),
+                    "--qrels", str(corpus_dir / "qrels.txt")]
+        else:
+            argv = ["cluster", "--matrix", str(bad / name), "--method", "nmf", "--k", "2"]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 1
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_index_copies_the_corpus_files_and_records_no_paths(corpus_dir, tmp_path):
@@ -750,8 +804,10 @@ def test_cluster_nmf_with_trials(tmp_path, monkeypatch):
     assert scores["scores"]["purity"] > 0.9
     # the best trial's labels and the mean over all trials, as the library gives them
     labels = [int(line.split(",")[1]) for line in (out / "labels.csv").read_text().split()[1:]]
-    assert labels == cluster_mod.nmf_cluster(a, 2, 0, trials=5).labels.tolist()
-    want = cluster_mod.nmf_trial_scores(a, [0] * 4 + [1] * 4, 2, 0, 5)
+    run = cluster_mod.nmf_cluster(a, 2, 0, trials=5)
+    assert labels == run.labels.tolist()
+    want = cluster_mod.mean_scores(cluster_mod.eval_clustering(trial, [0] * 4 + [1] * 4)
+                                   for trial in run.trial_labels)
     assert scores["scores"] == {"mi": want.mutual_information, "entropy": want.entropy,
                                 "purity": want.purity, "fmeasure": want.f_measure}
 

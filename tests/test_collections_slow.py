@@ -2,11 +2,13 @@
 SMART collections (Medline, Cranfield, CISI).
 
 Deselected by default (see the ``slow`` marker in pyproject.toml).  On
-a synthetic collection of Medline's shape (8237 x 1033) the costly steps
-took: completion 38.6 s, the full SVD 3.6 s, a 60-rank reconstruct-and-
-evaluate sweep 9.8 s and the rank-60 NMF 5.8 s with its A-products on
-CSR, about two minutes per collection (2-vCPU Xeon, numpy 2.4.6,
-OpenBLAS 0.3.31); the real collections were not run.  The SVD sweep
+a synthetic collection of Medline's shape (8237 x 1033; 2-vCPU Xeon,
+numpy 2.4.6, OpenBLAS 0.3.31; each command run once as its own process)
+``lsikit index --method complete`` took 21.5 s and peaked at 264 MB
+resident, ``lsikit index --method svd --rank 30`` 20.9 s and the 8-rank
+``lsikit sweep --ranks 10,20,30,40,60,100,200,400`` 67.6 s.  Timed in
+process, the full SVD took 3.6 s and a 60-rank reconstruct-and-evaluate
+sweep 9.8 s.  The real collections were not run.  The SVD sweep
 builds each rank's matrix with ``rank_k_reconstruct(full, k)``, the
 function ``lsikit sweep`` and ``lsikit index --method svd`` use.  Run
 with ``pytest -m slow`` after placing <NAME>.ALL/.QRY/.REL files under

@@ -10,7 +10,6 @@ from lsikit.corpus import (
     build_matrix,
     build_query_matrix,
     collection_stats,
-    column_normalize,
     default_stoplist,
     load_stoplist,
     log_scale,
@@ -18,6 +17,7 @@ from lsikit.corpus import (
     parse_smart,
     tokenize,
 )
+from lsikit.matrix import SparseMatrix, column_normalize
 
 from conftest import SYNONYMY, SYNONYMY_WORDS
 
@@ -207,8 +207,6 @@ def test_log_scale_values():
 def test_log_scale_of_e_minus_one():
     tdm = build_matrix([Document(1, "xx yy")])
     # overwrite the counts with e - 1 to pin the natural-log convention
-    from lsikit.matrix import SparseMatrix
-
     s = tdm.matrix
     forced = SparseMatrix(s.rows, s.cols, s.row, s.col, np.full(s.nnz, np.e - 1.0))
     from lsikit.corpus import TermDocMatrix
@@ -231,37 +229,27 @@ def test_log_scale_preserves_within_column_order():
 
 def test_column_normalize_single_column():
     tdm = build_matrix([Document(1, "aaa aaa aaa bb bb bb bb")])
-    normalized = column_normalize(tdm)
+    normalized = column_normalize(tdm.matrix)
     np.testing.assert_allclose(
-        sorted(normalized.matrix.data), [3 / 5, 4 / 5], rtol=1e-12
+        sorted(normalized.data), [3 / 5, 4 / 5], rtol=1e-12
     )
 
 
 def test_column_normalize_unit_column_unchanged():
-    from lsikit.corpus import TermDocMatrix
-    from lsikit.matrix import SparseMatrix
-
-    m = SparseMatrix(2, 1, [0, 1], [0, 0], [0.6, 0.8])
-    tdm = TermDocMatrix(m, Vocabulary(("aa", "bb")), (1,))
-    normalized = column_normalize(tdm)
-    np.testing.assert_allclose(normalized.matrix.data, [0.6, 0.8], rtol=1e-12)
+    normalized = column_normalize(SparseMatrix(2, 1, [0, 1], [0, 0], [0.6, 0.8]))
+    np.testing.assert_allclose(normalized.data, [0.6, 0.8], rtol=1e-12)
 
 
 def test_column_normalize_identical_columns_share_factor():
     docs = [Document(1, "aa bb bb"), Document(2, "aa bb bb")]
-    normalized = column_normalize(build_matrix(docs))
-    dense = normalized.matrix.toarray()
+    normalized = column_normalize(build_matrix(docs).matrix)
+    dense = normalized.toarray()
     np.testing.assert_allclose(dense[:, 0], dense[:, 1], rtol=1e-15)
 
 
 def test_column_normalize_rejects_zero_column():
-    from lsikit.corpus import TermDocMatrix
-    from lsikit.matrix import SparseMatrix
-
-    m = SparseMatrix(2, 2, [0], [0], [1.0])
-    tdm = TermDocMatrix(m, Vocabulary(("aa", "bb")), (1, 2))
     with pytest.raises(ValueError, match=r"\[1\]"):
-        column_normalize(tdm)
+        column_normalize(SparseMatrix(2, 2, [0], [0], [1.0]))
 
 
 # ---------------------------------------------------------------------------

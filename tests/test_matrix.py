@@ -14,7 +14,6 @@ from lsikit.matrix import (
     frobenius_norm,
     kmeans,
     nmf_factorize,
-    nmf_objective_trace,
     rank_k_reconstruct,
     symmetric_eigen_topk,
     truncated_svd,
@@ -22,7 +21,7 @@ from lsikit.matrix import (
 from lsikit.matrix import _sign_fix
 
 from conftest import SYNONYMY, POLYSEMY, SYNONYMY_RANK2, POLYSEMY_RANK2
-from oracle_utils import nmf_dense_oracle, sign_fix_oracle
+from oracle_utils import nmf_dense_oracle, nmf_error_trace, sign_fix_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +309,19 @@ def test_nmf_deterministic_for_fixed_seed():
 
 def test_nmf_rejects_negative_input():
     a = np.random.default_rng(15).random((5, 4))
-    for fn in (nmf_factorize, nmf_objective_trace):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(np.array([[1.0, -0.1]]), 1, 5, seed=0)
-        with pytest.raises(ValueError, match="k must be"):
-            fn(a, 0, 3, seed=0)
-        for iterations in (0, -1):
-            with pytest.raises(ValueError, match="iterations must be"):
-                fn(a, 2, iterations, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        nmf_factorize(np.array([[1.0, -0.1]]), 1, 5, seed=0)
+    with pytest.raises(ValueError, match="k must be"):
+        nmf_factorize(a, 0, 3, seed=0)
+    for iterations in (0, -1):
+        with pytest.raises(ValueError, match="iterations must be"):
+            nmf_factorize(a, 2, iterations, seed=0)
 
 
 def test_nmf_objective_monotone():
     rng = np.random.default_rng(14)
     a = rng.random((8, 6))
-    errors = nmf_objective_trace(a, 3, 60, seed=3)
+    errors = nmf_error_trace(a, 3, 60, seed=3)
     assert np.all(np.diff(errors) <= 1e-10)
 
 
@@ -361,8 +359,8 @@ def test_nmf_sparse_input_and_its_dense_twin_agree_bitwise():
         for a in (s.toarray(), shuffled):
             for got, want in zip(nmf_factorize(a, 4, 30, seed=2), nmf_factorize(s, 4, 30, seed=2)):
                 np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(nmf_objective_trace(a, 4, 10, seed=2),
-                                          nmf_objective_trace(s, 4, 10, seed=2))
+            np.testing.assert_array_equal(nmf_error_trace(a, 4, 10, seed=2),
+                                          nmf_error_trace(s, 4, 10, seed=2))
             np.testing.assert_array_equal(column_normalize(a).toarray(),
                                           column_normalize(s).toarray())
 

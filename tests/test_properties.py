@@ -11,13 +11,12 @@ from lsikit.lsi import complete, completion_step, word_similarity
 from lsikit.matrix import (
     _lloyd,
     frobenius_norm,
-    nmf_objective_trace,
     rank_k_reconstruct,
     symmetric_eigen_topk,
     truncated_svd,
 )
 
-from oracle_utils import chain_oracle, random_orthonormal
+from oracle_utils import chain_oracle, nmf_error_trace, random_orthonormal
 
 MASTER_SEED = 20260810
 TRIALS = 100
@@ -105,7 +104,7 @@ def test_nmf_error_never_increases():
         m, n = _random_shape(rng, 2, 7)
         k = int(rng.integers(1, 4))
         a = rng.random((m, n))
-        errors = nmf_objective_trace(a, k, 25, seed=trial)
+        errors = nmf_error_trace(a, k, 25, seed=trial)
         assert np.all(np.diff(errors) <= 1e-10)
 
 

@@ -8,14 +8,9 @@ import pytest
 
 from lsikit import retrieval
 from lsikit.matrix import rank_k_reconstruct, truncated_svd
-from lsikit.retrieval import (
-    evaluate,
-    interpolated_avg_precision,
-    pseudo_precision,
-    score_query,
-)
+from lsikit.retrieval import evaluate, score_query
 
-from oracle_utils import evaluate_oracle
+from oracle_utils import evaluate_oracle, iap_loop_oracle
 
 from conftest import (
     POLYSEMY,
@@ -106,38 +101,6 @@ def test_query_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# pseudo precision
-
-
-def test_pseudo_precision_all_relevant_on_top():
-    assert pseudo_precision([1, 2, 3, 4], {1, 2}, 0.7) == 1.0
-    assert pseudo_precision([1, 2, 3, 4], {1, 2}, 1.0) == 1.0
-
-
-def test_pseudo_precision_ranks_one_and_three():
-    # p_n = 1, 1/2, 2/3, 1/2; recall levels reached: 1/2, 1/2, 1, 1
-    assert pseudo_precision([7, 8, 9, 10], {7, 9}, 1.0) == pytest.approx(2 / 3)
-    assert pseudo_precision([7, 8, 9, 10], {7, 9}, 0.5) == 1.0
-
-
-def test_pseudo_precision_level_zero_is_global_max():
-    assert pseudo_precision([8, 7, 9], {7, 9}, 0.0) == pytest.approx(2 / 3)
-
-
-def test_pseudo_precision_non_increasing_in_level():
-    rng = np.random.default_rng(3)
-    ranking = list(rng.permutation(20))
-    relevant = set(rng.choice(20, size=6, replace=False).tolist())
-    values = [pseudo_precision(ranking, relevant, x) for x in np.linspace(0, 1, 21)]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_pseudo_precision_rejects_empty_relevant():
-    with pytest.raises(ValueError, match="nonempty"):
-        pseudo_precision([1, 2], set(), 0.5)
-
-
-# ---------------------------------------------------------------------------
 # interpolated average precision
 
 
@@ -157,12 +120,22 @@ def _iap_oracle(ranking, relevant, points):
     return float(total / points)
 
 
+def _iap(ranking, relevant, points=11):
+    """Interpolated average precision of ``ranking`` as :func:`evaluate`
+    gives it: every document scores 1, so the stable sort ranks them in
+    ``doc_ids`` order."""
+    report = evaluate(np.ones((1, 1)), np.ones((1, len(ranking))), {1: relevant}, points,
+                      doc_ids=ranking)
+    [(_, value)] = report.per_query
+    return value
+
+
 def test_iap_perfect_ranking():
-    assert interpolated_avg_precision([1, 2, 3, 4], {1, 2}) == 1.0
+    assert _iap([1, 2, 3, 4], {1, 2}) == 1.0
 
 
 def test_iap_ranks_one_and_three_eleven_points():
-    value = interpolated_avg_precision([5, 6, 7, 8], {5, 7}, 11)
+    value = _iap([5, 6, 7, 8], {5, 7}, 11)
     assert value == pytest.approx((6 * 1.0 + 5 * (2 / 3)) / 11, rel=1e-12)
     assert value == pytest.approx(_iap_oracle([5, 6, 7, 8], {5, 7}, 11), rel=1e-12)
 
@@ -170,7 +143,7 @@ def test_iap_ranks_one_and_three_eleven_points():
 def test_iap_relevant_ranked_last_matches_oracle():
     ranking = list(range(1, 21))
     relevant = {19, 20}
-    value = interpolated_avg_precision(ranking, relevant, 11)
+    value = _iap(ranking, relevant, 11)
     assert value == pytest.approx(_iap_oracle(ranking, relevant, 11), rel=1e-12)
 
 
@@ -182,16 +155,17 @@ def test_iap_matches_oracle_on_random_rankings():
         n_rel = int(rng.integers(1, n))
         relevant = set(int(d) for d in rng.choice(n, size=n_rel, replace=False))
         points = int(rng.integers(2, 13))
-        mine = interpolated_avg_precision(ranking, relevant, points)
+        mine = _iap(ranking, relevant, points)
         assert 0.0 <= mine <= 1.0
         assert mine == pytest.approx(_iap_oracle(ranking, relevant, points), rel=1e-12)
 
 
 def test_iap_validates_arguments():
     with pytest.raises(ValueError, match="points"):
-        interpolated_avg_precision([1], {1}, 1)
-    with pytest.raises(ValueError, match="nonempty"):
-        interpolated_avg_precision([1], set(), 11)
+        _iap([1], {1}, 1)
+    with pytest.warns(UserWarning, match="no relevance judgments"):
+        report = evaluate(np.ones((1, 1)), np.ones((1, 1)), {1: set()}, doc_ids=[1])
+    assert report.per_query == () and report.skipped == (1,)
 
 
 def test_iap_is_one_only_for_perfect_rankings():
@@ -201,7 +175,7 @@ def test_iap_is_one_only_for_perfect_rankings():
         ranking = [int(d) for d in rng.permutation(n)]
         n_rel = int(rng.integers(1, n))
         relevant = set(int(d) for d in rng.choice(n, size=n_rel, replace=False))
-        value = interpolated_avg_precision(ranking, relevant, 11)
+        value = _iap(ranking, relevant, 11)
         top_is_relevant = set(ranking[:n_rel]) == relevant
         assert (value == 1.0) == top_is_relevant
 
@@ -300,7 +274,7 @@ def test_evaluate_rankings_equal_per_query_score_query(monkeypatch):
     for (qid, avgp), ranked in zip(report.per_query, order):
         ranking = [doc_ids[j] for j, _ in score_query(queries[qid - 1], index)]
         assert [doc_ids[j] for j in ranked] == ranking
-        assert avgp.hex() == interpolated_avg_precision(ranking, judgments[qid]).hex()
+        assert avgp.hex() == iap_loop_oracle(ranking, judgments[qid], 11).hex()
 
 
 # ---------------------------------------------------------------------------
