@@ -15,9 +15,11 @@ Every command runs numpy's OpenBLAS on the calling thread
 (:func:`lsikit.matrix.blas_on_calling_thread`), so its GEMMs, GEMVs,
 NMF and LAPACK calls, and with them every output byte, do not depend on
 the BLAS thread count.
-``eval`` and ``sweep`` read how a matrix's corpus was tokenized from
-the files beside the matrix, never through a recorded path, so a
-corpus or index directory can be moved and used from anywhere.
+``eval`` and ``sweep`` tokenize queries as the matrix's corpus was
+tokenized, by the files beside the matrix alone, never through a
+recorded path or an option, so a corpus or index directory can be moved
+and used from anywhere.  ``eval`` and ``cluster`` read a matrix through
+one function, which loads an index's verified binary twin when it can.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ def _config_hash(args) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _is_true(word: str) -> bool:
-    return word.strip().lower() in _TRUE_WORDS
-
-
 def _option_dests(parser) -> set:
     """Option names of ``parser`` and of all its subcommands."""
     dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
@@ -96,7 +94,7 @@ def _config_defaults(path, parser, root) -> dict:
             if action.choices is not None and value not in action.choices:
                 raise SystemExit(f"config line {lineno}: {key}={value!r} is not one of "
                                  + ", ".join(action.choices))
-            out[dest] = _is_true(value) if action.nargs == 0 else value
+            out[dest] = value.lower() in _TRUE_WORDS if action.nargs == 0 else value
     return out
 
 
@@ -222,22 +220,25 @@ def _write_index(stager, array, meta):
     meta["array_sha256"] = _sha256(stager.tmp_dir / "index.npy")
 
 
-def _load_binary_index(index_path, meta):
-    """The ``index.npy`` beside ``index_path`` when both files still match
-    the digests in ``meta``, else None (the caller parses the text)."""
-    array_path = index_path.parent / "index.npy"
-    if (not array_path.exists() or "array_sha256" not in meta
-            or _sha256(index_path) != meta.get("index_sha256")
-            or _sha256(array_path) != meta["array_sha256"]):
-        return None
-    return np.load(array_path, allow_pickle=False)
+def _index_meta(path):
+    """The ``index_meta.json`` beside ``path``, or {} if there is none."""
+    meta_path = Path(path).parent / "index_meta.json"
+    return _read_json(meta_path) if meta_path.exists() else {}
 
 
 def _read_matrix(path):
     """The matrix at ``path``: a ``.npy`` file as a 2-D array (pickled
-    objects are refused), any other file as Matrix Market."""
-    if Path(path).suffix == ".npy":
+    objects are refused), any other file as Matrix Market.  For the text
+    the ``index.npy`` beside it is loaded instead when both files still
+    match the digests in the ``index_meta.json`` beside them."""
+    path = Path(path)
+    if path.suffix == ".npy":
         return as_dense(np.load(path, allow_pickle=False))
+    meta, twin = _index_meta(path), path.parent / "index.npy"
+    if ("array_sha256" in meta and twin.exists()
+            and _sha256(path) == meta.get("index_sha256")
+            and _sha256(twin) == meta["array_sha256"]):
+        return np.load(twin, allow_pickle=False)
     return mmio.read_matrix(path)
 
 
@@ -251,9 +252,9 @@ def cmd_index(args):
             raise SystemExit("svd method requires --rank")
         if not 1 <= args.rank <= min(shape):
             raise SystemExit(f"invalid rank {args.rank}: must lie in [1, {min(shape)}]")
-    vocab_path = Path(args.vocab or matrix_path.parent / "vocabulary.txt")
-    if args.vocab is not None or vocab_path.exists():
-        _read_vocabulary(vocab_path, shape[0])
+    home = matrix_path.parent
+    if (home / "vocabulary.txt").exists():
+        _read_vocabulary(home / "vocabulary.txt", shape[0])
     meta = {
         "method": args.method,
         "source": str(matrix_path),
@@ -261,14 +262,13 @@ def cmd_index(args):
     }
     with _Stager(args.out) as stager:
         for name in _CORPUS_FILES:
-            source = vocab_path if name == "vocabulary.txt" else matrix_path.parent / name
-            if source.exists():
-                shutil.copyfile(source, stager.path(name))
+            if (home / name).exists():
+                shutil.copyfile(home / name, stager.path(name))
         if args.method == "raw":
             shutil.copyfile(matrix_path, stager.path("index.mtx"))
         elif args.method == "svd":
             full = truncated_svd(mmio.read_matrix(matrix_path), min(shape))
-            _write_index(stager, np.asfortranarray(rank_k_reconstruct(full, args.rank)), meta)
+            _write_index(stager, rank_k_reconstruct(full, args.rank), meta)
             np.savez(stager.path("svd_factors.npz"), left=full.left,
                      values=full.values, right=full.right)
             meta["rank"] = args.rank
@@ -316,28 +316,25 @@ def _load_queries(args, matrix_path, rows):
     ``rows``-term matrix at ``matrix_path``.
 
     Queries are tokenized as the matrix's documents were, by the files
-    beside it: vocabulary.txt, docids.txt, stats.json (``min_length``,
-    ``log_scale``) and stoplist.txt; ``--vocab``, ``--stoplist``,
-    ``--min-length`` and ``--log-scale-queries`` override them.  Without
-    stats.json the builtin stop words and default settings apply; without
-    docids.txt, document ids are positional.
+    beside it alone: vocabulary.txt, docids.txt, stats.json
+    (``min_length``, ``log_scale``) and stoplist.txt.  Without stats.json
+    the builtin stop words, minimum length 2 and log damping apply;
+    without docids.txt, document ids are positional.
     """
     home = Path(matrix_path).parent
-    vocab = _read_vocabulary(args.vocab or home / "vocabulary.txt", rows)
-    stats, stoplist_path = {}, args.stoplist
+    vocab = _read_vocabulary(home / "vocabulary.txt", rows)
     if (home / "stats.json").exists():
         stats = _read_json(home / "stats.json")
-        if stoplist_path is None:  # missing in directories of earlier versions: an error
-            stoplist_path = home / "stoplist.txt"
-    min_length = args.min_length if args.min_length is not None else int(
-        stats.get("min_length", corpus_mod.DEFAULT_MIN_LENGTH))
-    log_scale = args.log_scale_queries
-    if log_scale is None:
-        log_scale = bool(stats.get("log_scale", True))
-    tok = corpus_mod.TokenizerConfig(_resolve_stoplist(stoplist_path), min_length)
+        # missing in directories of earlier versions: an error
+        stoplist = corpus_mod.load_stoplist(home / "stoplist.txt")
+    else:
+        stats, stoplist = {}, corpus_mod.default_stoplist()
+    tok = corpus_mod.TokenizerConfig(
+        stoplist, int(stats.get("min_length", corpus_mod.DEFAULT_MIN_LENGTH)))
     with open(args.queries, "r", encoding="utf-8", errors="replace") as fh:
         queries = corpus_mod.parse_smart(fh.read(), ("W",))
-    qmatrix = corpus_mod.build_query_matrix(queries, vocab, tok, apply_log_scale=log_scale)
+    qmatrix = corpus_mod.build_query_matrix(queries, vocab, tok,
+                                            apply_log_scale=bool(stats.get("log_scale", True)))
     with open(args.qrels, "r", encoding="utf-8") as fh:
         judgments = corpus_mod.parse_qrels(fh.read())
     doc_ids = None
@@ -351,11 +348,8 @@ def cmd_eval(args):
     index_path = Path(args.index)
     if not index_path.exists():
         raise SystemExit(f"index file not found: {index_path}")
-    meta_path = index_path.parent / "index_meta.json"
-    meta = _read_json(meta_path) if meta_path.exists() else {}
-    index = None if index_path.suffix == ".npy" else _load_binary_index(index_path, meta)
-    if index is None:
-        index = as_dense(_read_matrix(index_path))
+    meta = _index_meta(index_path)
+    index = as_dense(_read_matrix(index_path))
     qmatrix, qids, doc_ids, judgments = _load_queries(args, index_path, index.shape[0])
     run_meta = {
         "type": meta.get("method", "unknown"),
@@ -522,13 +516,6 @@ def _add_common(p):
 
 def _add_query_options(p):
     p.add_argument("--points", type=int, default=11, help="interpolation points (default 11)")
-    p.add_argument("--vocab", default=None,
-                   help="vocabulary file (default: vocabulary.txt beside the matrix)")
-    p.add_argument("--stoplist", default=None,
-                   help="stop-word file ('' disables; default: stoplist.txt beside the matrix)")
-    p.add_argument("--min-length", type=int, default=None, help="token length override")
-    p.add_argument("--log-scale-queries", type=_is_true,
-                   default=None, help="override query log damping (true/false)")
 
 
 def build_parser():
@@ -557,8 +544,6 @@ def build_parser():
     index_p.add_argument("--method", required=True, choices=("raw", "svd", "complete"))
     index_p.add_argument("--rank", type=int, default=None, help="rank for --method svd")
     index_p.add_argument("--maxiter", type=int, default=100, help="completion iteration cap")
-    index_p.add_argument("--vocab", default=None,
-                         help="vocabulary file to copy into --out (default: the one beside --matrix)")
     _add_common(index_p)
     index_p.set_defaults(func=cmd_index, parser_ref=index_p)
 
@@ -589,7 +574,8 @@ def build_parser():
     sweep_p.set_defaults(func=cmd_sweep, parser_ref=sweep_p)
 
     cluster_p = sub.add_parser("cluster", help="cluster a matrix")
-    cluster_p.add_argument("--matrix", required=True, help="Matrix Market input or .npy array")
+    cluster_p.add_argument("--matrix", required=True,
+                           help="Matrix Market input or .npy array, read as eval reads --index")
     cluster_p.add_argument("--method", required=True, choices=("spectral", "bipartite-svd", "nmf"))
     cluster_p.add_argument("--k", type=int, required=True, help="number of clusters")
     cluster_p.add_argument("--kernel", default="gaussian", choices=("gaussian", "polynomial", "sigmoid"))

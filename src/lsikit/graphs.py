@@ -89,11 +89,6 @@ class AffinityGraph:
         elif self.scheme == "gwassoc":
             raise ValueError("gwassoc scheme requires an explicit phi diagonal")
 
-    @property
-    def order(self) -> int:
-        w = self.weights
-        return w.rows if isinstance(w, SparseMatrix) else as_dense(w).shape[0]
-
 
 def _asymmetry(w) -> float:
     """max |w - w^T| of a square dense array or :class:`SparseMatrix`."""

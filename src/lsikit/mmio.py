@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -136,6 +137,17 @@ def _array_body(a):
         yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().translate(None, b"\0")
 
 
+@contextmanager
+def _open_text(path):
+    """``path`` open as ASCII text; a byte beyond ASCII, as in any binary
+    file, raises a ``ValueError`` that names the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} is not a Matrix Market text file") from None
+
+
 def _read_header(fh):
     """Layout and size-line integers of the file open at ``fh``, which is
     left just past the size line."""
@@ -154,7 +166,7 @@ def _read_header(fh):
 
 def read_shape(path):
     """``(rows, cols)`` of a Matrix Market file, from its size line alone."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_text(path) as fh:
         return _read_header(fh)[1][:2]
 
 
@@ -166,7 +178,7 @@ def read_matrix(path):
     decimal or ``inf``/``nan`` tokens separated by whitespace; a token
     numpy cannot parse whole, such as ``1_0``, raises ``ValueError``.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_text(path) as fh:
         layout, dims = _read_header(fh)
         rest = fh.read()
     if layout == "coordinate":

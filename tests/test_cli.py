@@ -304,31 +304,28 @@ def test_eval_against_raw_sparse_index(corpus_dir):
     assert 0.0 <= report["mean_avgp"] <= 1.0
 
 
-def test_eval_vocabulary_mismatch_names_axis(corpus_dir, tmp_path):
-    bad_vocab = tmp_path / "vocab.txt"
-    bad_vocab.write_text("alpha\nbeta\n")
+def test_eval_vocabulary_mismatch_names_axis(corpus_dir):
     idx = corpus_dir / "idx_raw2"
     main(["index", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
           "--method", "raw", "--out", str(idx), "--quiet"])
+    (idx / "vocabulary.txt").write_text("alpha\nbeta\n")
     with pytest.raises(SystemExit, match="vocabulary axis"):
         main(["eval", "--index", str(idx / "index.mtx"),
               "--queries", str(corpus_dir / "queries.txt"),
               "--qrels", str(corpus_dir / "qrels.txt"),
-              "--vocab", str(bad_vocab),
               "--out", str(corpus_dir / "eval_bad"), "--quiet"])
+    assert not (corpus_dir / "eval_bad").exists()
 
 
 @pytest.mark.parametrize("method", ["raw", "svd", "complete"])
-def test_index_rejects_a_vocabulary_of_another_size(corpus_dir, tmp_path, method):
-    bad_vocab = tmp_path / "vocab.txt"
-    bad_vocab.write_text("alpha\nbeta\n")
+def test_index_rejects_a_vocabulary_of_another_size(corpus_dir, method):
+    (corpus_dir / "corpus" / "vocabulary.txt").write_text("alpha\nbeta\n")
     idx = corpus_dir / "idx_bad"
     rank = ["--rank", "2"] if method == "svd" else []
     with pytest.raises(SystemExit, match="vocabulary axis mismatch: index has .* rows, "
                                          "vocabulary has 2 terms"):
         main(["index", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
-              "--method", method, *rank, "--vocab", str(bad_vocab),
-              "--out", str(idx), "--quiet"])
+              "--method", method, *rank, "--out", str(idx), "--quiet"])
     assert not idx.exists()
 
 
@@ -488,14 +485,49 @@ def test_npy_input_that_is_pickled_or_not_a_matrix_fails_cleanly(corpus_dir, cap
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [("cluster", "svd_factors.npz"), ("index", "index.npy")])
+def test_binary_file_given_as_matrix_market_is_named(corpus_dir, capsys, command, name):
+    idx, out = corpus_dir / "idx", corpus_dir / "out"
+    _index(corpus_dir, idx, "svd")
+    method = ["--method", "nmf", "--k", "2"] if command == "cluster" else ["--method", "raw"]
+    assert main([command, "--matrix", str(idx / name), *method, "--out", str(out),
+                 "--quiet"]) == 1
+    assert f"error: {idx / name} is not a Matrix Market text file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _add_comment_line(idx):
+    banner, rest = (idx / "index.mtx").read_text().split("\n", 1)
+    (idx / "index.mtx").write_text(f"{banner}\n% edited\n{rest}")  # same matrix, new digest
+
+
+@pytest.mark.parametrize("method", ["bipartite-svd", "nmf"])
+def test_cluster_reads_an_index_through_its_verified_twin(corpus_dir, eval_spy, method):
+    idx = corpus_dir / "idx"
+    _index(corpus_dir, idx, "complete")
+    (corpus_dir / "ref.csv").write_text("0\n0\n0\n1\n1\n1\n")
+
+    def cluster(out):
+        eval_spy["reads"] = 0
+        assert main(["cluster", "--matrix", str(idx / "index.mtx"), "--method", method,
+                     "--k", "2", "--reference", str(corpus_dir / "ref.csv"),
+                     "--out", str(out), "--quiet"]) == 0
+        return eval_spy["reads"], [(out / n).read_bytes() for n in ("labels.csv", "scores.json")]
+
+    twin_reads, via_twin = cluster(corpus_dir / "twin")
+    assert twin_reads == 0  # the digests match: no text parse
+    _add_comment_line(idx)
+    text_reads, via_text = cluster(corpus_dir / "text")
+    assert text_reads == 1
+    assert via_twin == via_text
+
+
 def test_index_copies_the_corpus_files_and_records_no_paths(corpus_dir, tmp_path):
     corpus, idx = corpus_dir / "corpus", corpus_dir / "idx"
-    (tmp_path / "vocab.txt").write_text((corpus / "vocabulary.txt").read_text())
     assert main(["index", "--matrix", str(corpus / "matrix.mtx"), "--method", "complete",
-                 "--vocab", str(tmp_path / "vocab.txt"), "--out", str(idx), "--quiet"]) == 0
-    for name in ("docids.txt", "stats.json", "stoplist.txt"):
+                 "--out", str(idx), "--quiet"]) == 0
+    for name in ("vocabulary.txt", "docids.txt", "stats.json", "stoplist.txt"):
         assert (idx / name).read_bytes() == (corpus / name).read_bytes(), name
-    assert (idx / "vocabulary.txt").read_bytes() == (tmp_path / "vocab.txt").read_bytes()
     meta = json.loads((idx / "index_meta.json").read_text())
     assert not {"vocabulary", "docids", "corpus"} & set(meta)
     # an index of a bare matrix leaves no corpus files of the earlier one behind
@@ -920,8 +952,8 @@ def test_config_values_parse_like_their_flags(tmp_path):
             assert from_config == _parsed(base + flag), (words, action.dest)
             assert from_config[action.dest] != default[action.dest], (words, action.dest)
             checked.add((words[-1], action.dest))
-    assert {("index", "rank"), ("cluster", "alpha"), ("eval", "min_length"),
-            ("sweep", "min_length"), ("eval", "log_scale_queries"),
+    assert {("index", "rank"), ("cluster", "alpha"), ("eval", "points"),
+            ("sweep", "points"), ("build", "min_length"),
             ("build", "log_scale"), ("eval", "csv")} <= checked
 
 
@@ -945,6 +977,23 @@ def test_config_hash_covers_every_option_but_out_quiet_config(tmp_path):
                 extra = [opt, "7" if action.type else "other"]
             changed = cli._config_hash(cli._parse_args(base + extra)) != cli._config_hash(args)
             assert changed == (action.dest not in ("out", "quiet", "config")), (words, opt)
+
+
+def test_each_command_has_exactly_its_options():
+    # a new option changes this set on purpose; query tokenizing has none
+    common = {"config", "out", "quiet"}
+    want = {
+        "build": {"docs", "stoplist", "fields", "min_length", "log_scale"},
+        "index": {"matrix", "method", "rank", "maxiter"},
+        "eval": {"index", "queries", "qrels", "points", "csv"},
+        "sweep": {"matrix", "queries", "qrels", "ranks", "points", "maxiter", "nmf_rank",
+                  "nmf_iterations", "seed"},
+        "cluster": {"matrix", "method", "k", "kernel", "alpha", "c", "d", "theta", "trials",
+                    "reference", "seed"},
+    }
+    got = {words[-1]: {a.dest for a in parser._actions if a.option_strings} - {"help"}
+           for words, parser in _leaf_parsers()}
+    assert got == {name: dests | common for name, dests in want.items()}
 
 
 @pytest.fixture
@@ -983,9 +1032,9 @@ def _report_hash(d, argv):
     (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "svd"], "rank", "2"),
     (["cluster", "--matrix", "{d}/points.mtx", "--method", "spectral", "--k", "2",
       "--reference", "{d}/points.csv"], "alpha", "0.3"),
-    (_EVAL, "min_length", "3"),
-    (_SWEEP, "min-length", "3"),
-], ids=["index-rank", "cluster-alpha", "eval-min_length", "sweep-min-length"])
+    (_EVAL, "points", "3"),
+    (_SWEEP, "nmf-iterations", "3"),
+], ids=["index-rank", "cluster-alpha", "eval-points", "sweep-nmf-iterations"])
 def test_config_value_runs_like_its_flag(run_dir, argv, key, value):
     cfg = run_dir / "run.cfg"
     cfg.write_text(f"{key}={value}\n")
@@ -997,36 +1046,16 @@ def test_config_value_runs_like_its_flag(run_dir, argv, key, value):
         assert (via_config / name).read_bytes() == (via_flag / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("word", ["false", "true"])
-def test_config_log_scale_queries_word_reaches_the_queries(run_dir, monkeypatch, word):
-    build, damped = cli.corpus_mod.build_query_matrix, []
-
-    def spy(*args, apply_log_scale, **kwargs):
-        damped.append(apply_log_scale)
-        return build(*args, apply_log_scale=apply_log_scale, **kwargs)
-
-    monkeypatch.setattr(cli.corpus_mod, "build_query_matrix", spy)
-    (run_dir / "run.cfg").write_text(f"log_scale_queries={word}\n")
-    _run(run_dir, [*_EVAL, "--config", "{d}/run.cfg", "--quiet"])
-    assert damped == [word == "true"]
-
-
 @pytest.mark.parametrize("argv, extra, hashed", [
-    (_EVAL, ["--stoplist", "{d}/stop.txt"], True),
-    (_EVAL, ["--min-length", "3"], True),
-    (_EVAL, ["--log-scale-queries", "false"], True),
-    (_EVAL, ["--vocab", "{d}/corpus/vocabulary.txt"], True),
-    (_SWEEP, ["--stoplist", "{d}/stop.txt"], True),
-    (_SWEEP, ["--log-scale-queries", "false"], True),
+    (_EVAL, ["--points", "3"], True),
+    (_SWEEP, ["--points", "3"], True),
     (["cluster", "--matrix", "{d}/corpus/matrix.mtx", "--method", "bipartite-svd", "--k", "2",
       "--reference", "{d}/ref.csv"], ["--reference", "{d}/ref2.csv"], True),
-    (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "raw"],
-     ["--vocab", "{d}/corpus/vocabulary.txt"], True),
+    (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "raw"], ["--maxiter", "7"], True),
     (_EVAL, ["--out", "{d}/elsewhere"], False),
     (_EVAL, ["--quiet"], False),
     (_EVAL, ["--config", "{d}/empty.cfg"], False),
-], ids=["eval-stoplist", "eval-min-length", "eval-log-scale-queries", "eval-vocab",
-        "sweep-stoplist", "sweep-log-scale-queries", "cluster-reference", "index-vocab",
+], ids=["eval-points", "sweep-points", "cluster-reference", "index-maxiter",
         "eval-out", "eval-quiet", "eval-config"])
 def test_report_config_hash_follows_result_options(run_dir, argv, extra, hashed):
     changed = _report_hash(run_dir, [*argv, *extra]) != _report_hash(run_dir, argv)
@@ -1043,7 +1072,10 @@ _SPECTRAL = ["cluster", "--matrix", "{d}/points.mtx", "--method", "spectral", "-
     (["index", "--matrix", "{d}/corpus/matrix.mtx", "--method", "complete"],
      "stable_window=3", "no command has an option 'stable_window'"),
     (_EVAL, "meta=index_meta.json", "no command has an option 'meta'"),
-], ids=["misspelt-key", "bad-choice", "removed-option", "removed-eval-meta"])
+    (_EVAL, "vocab=vocabulary.txt", "no command has an option 'vocab'"),
+    (_SWEEP, "log_scale_queries=false", "no command has an option 'log_scale_queries'"),
+], ids=["misspelt-key", "bad-choice", "removed-option", "removed-eval-meta",
+        "removed-vocab", "removed-log-scale-queries"])
 def test_config_rejects_unknown_keys_and_bad_choices(run_dir, argv, line, named):
     (run_dir / "run.cfg").write_text(f"# settings\n{line}\n")
     with pytest.raises(SystemExit, match=re.escape(f"config line 2: {named}")):
@@ -1051,7 +1083,9 @@ def test_config_rejects_unknown_keys_and_bad_choices(run_dir, argv, line, named)
 
 
 def test_config_key_of_another_command_is_ignored(run_dir):
-    (run_dir / "run.cfg").write_text("seed=1\n")  # a sweep and cluster option
+    # sweep and cluster options, and corpus build's tokenizer ones: eval reads those
+    # from the files beside the index
+    (run_dir / "run.cfg").write_text("seed=1\nmin_length=5\nstoplist=stop.txt\n")
     via_config = _run(run_dir, [*_EVAL, "--config", "{d}/run.cfg", "--quiet"])
     plain = _run(run_dir, [*_EVAL, "--quiet"])
     assert (via_config / "eval.json").read_bytes() == (plain / "eval.json").read_bytes()

@@ -1,6 +1,7 @@
 """Matrix Market reader/writer round trips."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from lsikit import mmio
 from lsikit.matrix import SparseMatrix
-from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_matrix, write_matrix
+from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_matrix, read_shape, write_matrix
 
 from oracle_utils import dense_mm_oracle, dense_mm_read_oracle, sparse_mm_oracle
 
@@ -284,3 +285,14 @@ def test_dense_write_keeps_less_than_two_copies(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert peak < 2 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"
+
+
+@pytest.mark.parametrize("save", [np.save, np.savez], ids=["npy", "npz"])
+def test_binary_file_is_named_as_not_matrix_market(tmp_path, save):
+    path = tmp_path / "m.bin"
+    with open(path, "wb") as fh:
+        save(fh, np.eye(3))
+    for read in (read_shape, read_matrix):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path} is not a Matrix Market text file")):
+            read(path)
