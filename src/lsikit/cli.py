@@ -6,8 +6,12 @@ abbreviated ones too), an optional ``key=value`` config file, and
 defaults.  Config values become the parser's defaults, so each is
 converted by its option's own type, exactly like the flag.  Every report
 carries a hash of all parsed parameters except ``--out``, ``--quiet``
-and ``--config``, for provenance.  Output files are staged and renamed
-into place, so a failing run leaves no partial outputs behind.
+and ``--config``, for provenance.  Every output file is staged and renamed
+into place by one stager, so a failing run changes nothing in ``--out``.
+A successful one also removes each optional output that it did not
+write (``eval.csv`` without ``--csv``, ``scores.json`` without
+``--reference``, an index's binary twin, factors, trace and corpus
+files), so no output of an earlier run is left beside this run's.
 Integer flags with a fixed least value (``_LEAST``) are checked once,
 config-file values included, before the command reads any input; ranks
 are checked against the matrix file's size line.
@@ -99,11 +103,17 @@ def _config_defaults(path, parser, root) -> dict:
 
 
 class _Stager:
-    """Stages output files and renames them into place when the ``with``
-    block succeeds; on any exception the staged files are discarded."""
+    """Stages a command's output files and renames them into place when
+    the ``with`` block succeeds; on any exception the staged files are
+    discarded and ``out_dir`` is left as it was.  Text outputs are UTF-8
+    with Unix line ends on every platform.  After a successful block,
+    each ``optional`` file that the run did not write is removed, so no
+    output of an earlier run with other options is left beside this
+    run's."""
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, optional=()):
         self.out_dir = Path(out_dir)
+        self.optional = optional
 
     def __enter__(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,11 +125,19 @@ class _Stager:
         self.staged.append(name)
         return self.tmp_dir / name
 
+    def write_text(self, name, text):
+        self.path(name).write_text(text, encoding="utf-8", newline="\n")
+
+    def write_json(self, name, payload):
+        self.write_text(name, json.dumps(payload, indent=2) + "\n")
+
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
                 for name in self.staged:
                     os.replace(self.tmp_dir / name, self.out_dir / name)
+                for name in set(self.optional) - set(self.staged):
+                    (self.out_dir / name).unlink(missing_ok=True)
         finally:
             shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
@@ -127,12 +145,6 @@ class _Stager:
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _info(args, message):
@@ -161,26 +173,25 @@ def cmd_corpus_build(args):
     tdm = corpus_mod.build_matrix(docs, tok)
     if args.log_scale:
         tdm = corpus_mod.log_scale(tdm)
-    stats = corpus_mod.collection_stats(tdm)
-    stats["config_hash"] = _config_hash(args)
     # eval and sweep read min_length and log_scale back to build matching queries
-    stats.update({
+    stats = {
+        "words": tdm.matrix.rows,
+        "documents": tdm.matrix.cols,
+        "nnz_percent": tdm.nnz_percent,
+        "config_hash": _config_hash(args),
         "command": "corpus-build",
         "docs": args.docs,
         "fields": list(fields),
         "min_length": args.min_length,
         "log_scale": args.log_scale,
         "stoplist": args.stoplist if args.stoplist is not None else "builtin",
-    })
+    }
     with _Stager(args.out) as stager:
         mmio.write_matrix(stager.path("matrix.mtx"), tdm.matrix)
-        with open(stager.path("vocabulary.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(tdm.vocabulary.terms) + "\n")
-        with open(stager.path("docids.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(d) for d in tdm.doc_ids) + "\n")
-        _write_json(stager.path("stats.json"), stats)
-        with open(stager.path("stoplist.txt"), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{word}\n" for word in sorted(stoplist))
+        stager.write_text("vocabulary.txt", "\n".join(tdm.vocabulary.terms) + "\n")
+        stager.write_text("docids.txt", "\n".join(str(d) for d in tdm.doc_ids) + "\n")
+        stager.write_json("stats.json", stats)
+        stager.write_text("stoplist.txt", "".join(f"{word}\n" for word in sorted(stoplist)))
     _info(args, f"built {stats['words']}x{stats['documents']} matrix "
                 f"({stats['nnz_percent']:.3f}% nonzero) in {args.out}")
     return 0
@@ -260,7 +271,8 @@ def cmd_index(args):
         "source": str(matrix_path),
         "config_hash": _config_hash(args),
     }
-    with _Stager(args.out) as stager:
+    with _Stager(args.out, optional=("index.npy", "svd_factors.npz", "trace.json",
+                                     *_CORPUS_FILES)) as stager:
         for name in _CORPUS_FILES:
             if (home / name).exists():
                 shutil.copyfile(home / name, stager.path(name))
@@ -285,12 +297,9 @@ def cmd_index(args):
                 "ps_percent": trace.ps_percent,
                 "changed": list(trace.changed),
             }
-            _write_json(stager.path("trace.json"), trace_payload)
+            stager.write_json("trace.json", trace_payload)
             meta.update(trace_payload)
-        _write_json(stager.path("index_meta.json"), meta)
-    for name in ("index.npy", "trace.json", "svd_factors.npz", *_CORPUS_FILES):
-        if name not in stager.staged:  # left by an earlier run with another method or matrix
-            (stager.out_dir / name).unlink(missing_ok=True)
+        stager.write_json("index_meta.json", meta)
     _info(args, f"wrote {args.method} index to {args.out}")
     return 0
 
@@ -351,22 +360,22 @@ def cmd_eval(args):
     meta = _index_meta(index_path)
     index = as_dense(_read_matrix(index_path))
     qmatrix, qids, doc_ids, judgments = _load_queries(args, index_path, index.shape[0])
-    run_meta = {
-        "type": meta.get("method", "unknown"),
-        "config_hash": _config_hash(args),
-    }
-    for key in ("rank", "conviter", "converged", "ps_percent"):
-        if key in meta:
-            run_meta[key] = meta[key]
     report = retrieval_mod.evaluate(qmatrix, index, judgments, args.points,
-                                    query_ids=qids, doc_ids=doc_ids, meta=run_meta)
-    with _Stager(args.out) as stager:
-        _write_json(stager.path("eval.json"), report.to_json_dict())
+                                    query_ids=qids, doc_ids=doc_ids)
+    facts = {"type": meta.get("method", "unknown"), "config_hash": _config_hash(args)}
+    facts.update((key, meta[key]) for key in ("rank", "conviter", "converged", "ps_percent")
+                 if key in meta)
+    with _Stager(args.out, optional=("eval.csv",)) as stager:
+        stager.write_json("eval.json", {
+            "index": facts,
+            "points": report.points,
+            "per_query": [{"qid": q, "avgp": v} for q, v in report.per_query],
+            "mean_avgp": report.mean_avgp,
+            "skipped": list(report.skipped),
+        })
         if args.csv:
-            with open(stager.path("eval.csv"), "w", encoding="utf-8") as fh:
-                fh.write("qid,avgp\n")
-                for qid, avgp in report.per_query:
-                    fh.write(f"{qid},{avgp!r}\n")
+            stager.write_text("eval.csv", "qid,avgp\n" + "".join(
+                f"{qid},{avgp!r}\n" for qid, avgp in report.per_query))
     _info(args, f"mean {args.points}-point interpolated average precision: "
                 f"{report.mean_avgp:.4f} over {len(report.per_query)} queries")
     return 0
@@ -382,7 +391,11 @@ def _parse_ranks(spec: str, limit: int):
     [1, ``limit``] before any range is expanded."""
     ranks = set()
     for part in filter(None, (p.strip() for p in spec.split(","))):
-        ends = [int(end) for end in part.split(":", 1)]
+        try:
+            ends = [int(end) for end in part.split(":", 1)]
+        except ValueError:
+            raise SystemExit(f"invalid rank list {spec!r}: {part!r} is neither a rank "
+                             "nor a lo:hi range") from None
         lo, hi = ends[0], ends[-1]
         if lo < 1:
             raise SystemExit(f"invalid rank list {spec!r}: rank {lo} is below 1")
@@ -423,11 +436,9 @@ def cmd_sweep(args):
 
     best = int(np.argmax(svd_means))
     with _Stager(args.out) as stager:
-        with open(stager.path("sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write("rank,svd,completion,nmf\n")
-            for k, mean in zip(ranks, svd_means):
-                fh.write(f"{k},{mean!r},{completion_mean!r},{nmf_mean!r}\n")
-        _write_json(stager.path("sweep.json"), {
+        stager.write_text("sweep.csv", "rank,svd,completion,nmf\n" + "".join(
+            f"{k},{mean!r},{completion_mean!r},{nmf_mean!r}\n" for k, mean in zip(ranks, svd_means)))
+        stager.write_json("sweep.json", {
             "ranks": ranks,
             "svd": svd_means,
             "best_rank": ranks[best],
@@ -481,13 +492,11 @@ def cmd_cluster(args):
         scores = cluster_mod.mean_scores(
             cluster_mod.eval_clustering(labels, reference) for labels in run.trial_labels)
 
-    with _Stager(args.out) as stager:
-        with open(stager.path("labels.csv"), "w", encoding="utf-8") as fh:
-            fh.write("item,label\n")
-            for i, lab in enumerate(run.labels):
-                fh.write(f"{i},{lab}\n")
+    with _Stager(args.out, optional=("scores.json",)) as stager:
+        stager.write_text("labels.csv", "item,label\n" + "".join(
+            f"{i},{lab}\n" for i, lab in enumerate(run.labels)))
         if scores is not None:
-            _write_json(stager.path("scores.json"), {
+            stager.write_json("scores.json", {
                 "method": run.method,
                 "k": run.k,
                 "seed": run.seed,

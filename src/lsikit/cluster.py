@@ -155,8 +155,6 @@ def eval_clustering(labels, reference) -> QualityScores:
     entropy = 0.0
     if n_classes > 1:
         for ki in range(n_clusters):
-            if nk[ki] == 0:
-                continue
             p = table[ki][table[ki] > 0] / nk[ki]
             entropy += (nk[ki] / n) * float(-(p * np.log(p) / math.log(n_classes)).sum())
 

@@ -271,11 +271,3 @@ def build_query_matrix(queries, vocab: Vocabulary, config: TokenizerConfig = Tok
     if apply_log_scale:
         q = np.log1p(q)
     return q
-
-
-def collection_stats(m: TermDocMatrix) -> dict:
-    return {
-        "words": m.matrix.rows,
-        "documents": m.matrix.cols,
-        "nnz_percent": m.nnz_percent,
-    }

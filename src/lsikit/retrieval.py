@@ -11,7 +11,7 @@ no floating drift.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +26,6 @@ class EvalReport:
     mean_avgp: float
     points: int
     skipped: tuple = ()
-    meta: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": dict(self.meta),
-            "points": self.points,
-            "per_query": [{"qid": q, "avgp": v} for q, v in self.per_query],
-            "mean_avgp": self.mean_avgp,
-            "skipped": list(self.skipped),
-        }
 
 
 def score_query(q, index):
@@ -164,7 +154,7 @@ def prepare_queries(queries, judgments, shape, points: int = 11, query_ids=None,
                            tuple(len(r) for r in relevant_sets), tuple(skipped))
 
 
-def evaluate_prepared(prepared: PreparedQueries, index, meta=None) -> EvalReport:
+def evaluate_prepared(prepared: PreparedQueries, index) -> EvalReport:
     """:func:`evaluate` of the queries of ``prepared`` against ``index``,
     which must have the shape they were prepared for."""
     a = as_dense(index)
@@ -175,12 +165,11 @@ def evaluate_prepared(prepared: PreparedQueries, index, meta=None) -> EvalReport
     avgp = _avg_precision(hits, prepared.r_totals, prepared.points)
     per_query = [(qid, float(v)) for qid, v in zip(prepared.kept, avgp)]
     mean = float(np.mean([v for _, v in per_query])) if per_query else 0.0
-    return EvalReport(tuple(per_query), mean, prepared.points, prepared.skipped,
-                      dict(meta or {}))
+    return EvalReport(tuple(per_query), mean, prepared.points, prepared.skipped)
 
 
 def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
-             doc_ids=None, meta=None) -> EvalReport:
+             doc_ids=None) -> EvalReport:
     """Average precision per query plus the mean over evaluated queries.
 
     ``queries`` is a Q x M matrix of query rows, ``judgments`` maps
@@ -193,4 +182,4 @@ def evaluate(queries, index, judgments, points: int = 11, query_ids=None,
     """
     a = as_dense(index)
     prepared = prepare_queries(queries, judgments, a.shape, points, query_ids, doc_ids)
-    return evaluate_prepared(prepared, a, meta)
+    return evaluate_prepared(prepared, a)

@@ -580,9 +580,9 @@ def test_sweep_prepares_its_queries_once(corpus_dir, monkeypatch):
         prepared.append((args, kwargs))
         return prepare(*args, **kwargs)
 
-    def kept_score(queries, index, meta=None):
+    def kept_score(queries, index):
         scored.append(index)
-        return score(queries, index, meta)
+        return score(queries, index)
 
     monkeypatch.setattr(retrieval, "_relevance", counted_relevance)
     monkeypatch.setattr(retrieval, "prepare_queries", kept_prepare)
@@ -634,7 +634,11 @@ def _child_env():
     ("1:{over}", "rank {over} exceeds min(M, N) = {limit}"),
     ("5:3", "invalid rank list '5:3': range 5:3 is empty"),
     ("1:1000000000000", "rank 1000000000000 exceeds min(M, N) = {limit}"),
-], ids=["zero", "above-min-shape", "empty-range", "huge-range"])
+    ("1:3:5", "invalid rank list '1:3:5': '1:3:5' is neither a rank nor a lo:hi range"),
+    ("a", "invalid rank list 'a': 'a' is neither a rank nor a lo:hi range"),
+    ("2:", "invalid rank list '2:': '2:' is neither a rank nor a lo:hi range"),
+], ids=["zero", "above-min-shape", "empty-range", "huge-range", "three-ends", "not-a-number",
+        "open-range"])
 def test_sweep_rejects_a_rank_list_before_expanding_it(corpus_dir, ranks, problem):
     limit = min(read_shape(corpus_dir / "corpus" / "matrix.mtx"))
     ranks, problem = (text.format(over=limit + 1, limit=limit) for text in (ranks, problem))
@@ -876,12 +880,43 @@ def test_nmf_commands_never_densify_the_matrix(corpus_dir, monkeypatch):
 
 def test_cluster_without_reference_writes_labels_only(tmp_path):
     write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+    (tmp_path / "ref.csv").write_text("0\n0\n0\n1\n1\n")
     out = tmp_path / "c"
-    rc = main(["cluster", "--matrix", str(tmp_path / "syn.mtx"),
-               "--method", "bipartite-svd", "--k", "2", "--out", str(out), "--quiet"])
-    assert rc == 0
-    assert (out / "labels.csv").exists()
-    assert not (out / "scores.json").exists()
+    run = ["cluster", "--matrix", str(tmp_path / "syn.mtx"), "--k", "2", "--out", str(out),
+           "--quiet"]
+    # an earlier scored run into the same directory leaves no scores.json behind
+    assert main([*run, "--method", "nmf", "--reference", str(tmp_path / "ref.csv")]) == 0
+    assert (out / "scores.json").exists()
+    assert main([*run, "--method", "bipartite-svd"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["labels.csv"]
+
+
+def test_eval_without_csv_removes_the_csv_of_an_earlier_run(corpus_dir):
+    _index(corpus_dir, corpus_dir / "idx", "svd")
+    out = corpus_dir / "e"
+    run = ["eval", "--index", str(corpus_dir / "idx" / "index.mtx"),
+           "--queries", str(corpus_dir / "queries.txt"), "--qrels", str(corpus_dir / "qrels.txt"),
+           "--out", str(out), "--quiet"]
+    assert main([*run, "--csv"]) == 0
+    assert (out / "eval.csv").exists()
+    assert main([*run, "--points", "3"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["eval.json"]
+    assert json.loads((out / "eval.json").read_text())["points"] == 3
+
+
+def test_failed_run_leaves_the_outputs_of_an_earlier_run(tmp_path, capsys):
+    write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+    (tmp_path / "ref.csv").write_text("0\n0\n0\n1\n1\n")
+    (tmp_path / "short.csv").write_text("0\n1\n")
+    out = tmp_path / "c"
+    run = ["cluster", "--matrix", str(tmp_path / "syn.mtx"), "--method", "bipartite-svd",
+           "--k", "2", "--out", str(out), "--quiet", "--reference"]
+    assert main([*run, str(tmp_path / "ref.csv")]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["labels.csv", "scores.json"]
+    assert main([*run, str(tmp_path / "short.csv")]) == 1
+    assert "length mismatch" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -9,7 +9,6 @@ from lsikit.corpus import (
     Vocabulary,
     build_matrix,
     build_query_matrix,
-    collection_stats,
     default_stoplist,
     load_stoplist,
     log_scale,
@@ -172,8 +171,6 @@ def test_build_matrix_block_structure_stats():
     docs = [Document(1, "aa aa"), Document(2, "bb"), Document(3, "cc cc cc")]
     tdm = build_matrix(docs)
     assert tdm.nnz_percent == pytest.approx(100.0 / 3.0)
-    stats = collection_stats(tdm)
-    assert stats["words"] == 3 and stats["documents"] == 3
 
 
 def test_build_matrix_rejects_empty_inputs():
