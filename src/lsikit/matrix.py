@@ -65,9 +65,13 @@ class SparseMatrix:
                 raise ValueError("matrix entries must be finite")
             if np.any(data == 0.0):
                 raise ValueError("explicit zeros are not stored; drop them first")
+            # row-major triplets, as from_dense gives, pass in O(n);
+            # any other order is sorted once
             flat = row * self.cols + col
-            if np.unique(flat).size != flat.size:
-                raise ValueError("duplicate (row, col) triplets")
+            if np.any(flat[1:] <= flat[:-1]):
+                flat = np.sort(flat)
+                if np.any(flat[1:] == flat[:-1]):
+                    raise ValueError("duplicate (row, col) triplets")
         for arr, name in ((row, "row"), (col, "col"), (data, "data")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

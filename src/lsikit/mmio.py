@@ -2,31 +2,18 @@
 array files for dense ones (Boisvert, Pozo & Remington, *The Matrix
 Market Exchange Formats*, NIST IR 5935, 1996).
 
-Values are written with ``repr`` (shortest round-trip form), so a matrix
-written and re-read comes back bitwise identical.  The banner line is
-kept canonical; readers accept any `%%MatrixMarket matrix` banner with a
-real/integer field and general symmetry.
-
-A dense body formats each distinct bit pattern once.  The patterns are
-sorted to find the distinct ones, and every entry finds its own in a
-multiplicative hash table (Knuth, TAOCP vol. 3, 6.4); each lookup is
-checked, and the few that land on another pattern's slot are resolved
-by binary search, so the mapping is exact.  ``write_matrix`` returns the
-sha256 of the bytes it wrote, hashed as they are written, so no caller
-has to read the file back to hash it.
-
-Beside a dense array, the writer keeps one sorted copy of its entries
-while it finds the distinct patterns and frees it before the lookups.
-Then it keeps the hash table (fewer than two slots per entry) and one
-pattern number per entry, both in the smallest unsigned type that
-counts the patterns, the text of each distinct pattern, and one
-chunk's lookups and output at a time.  A Fortran-ordered array is read
-in place; any other layout is first copied in column-major order.
+Sparse values are written with ``repr``; dense arrays are written by
+scipy's multi-threaded C++ writer (fast_matrix_market), whose shortest
+round-trip style (``1E-1``, ``-0``, ``Infinity``, ``NaN``) puts a lone
+``%`` line after the banner when there is no comment, and whose bytes do
+not depend on its thread count.  Either way a matrix written and re-read
+comes back bitwise identical; a NaN comes back as the default NaN.  The
+banner line is kept canonical; readers accept any `%%MatrixMarket
+matrix` banner with a real/integer field and general symmetry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from contextlib import contextmanager
 
@@ -52,89 +39,27 @@ def _parse_banner(line: str):
     return layout
 
 
-# Entries per write of a dense array body.
-_WRITE_CHUNK = 1 << 16
-
-# Multiplier of the dedupe's hash, 2**64 divided by the golden ratio and
-# made odd (Fibonacci hashing, Knuth, TAOCP vol. 3, 6.4).
-_KNUTH = np.uint64(0x9E3779B97F4A7C15)
-
-# Hash slots per distinct value, capped at about two per entry so the
-# table is never larger than the entries themselves.
-_SLOTS_PER_KEY = 16
-
-
-def write_matrix(path, m, comment: str = "") -> str:
-    """Write a sparse matrix as coordinate MM or a dense array as array MM,
-    and return the sha256 hex digest of the bytes written."""
-    if isinstance(m, SparseMatrix):
-        banner, size = SPARSE_BANNER, f"{m.rows} {m.cols} {m.nnz}"
-        # Python scalars: numpy scalars took 1.6x as long to format
-        triplets = zip(m.row.tolist(), m.col.tolist(), m.data.tolist())
-        body = ["".join(f"{r + 1} {c + 1} {v!r}\n" for r, c, v in triplets).encode("ascii")]
-    else:
+def write_matrix(path, m, comment: str = ""):
+    """Write a sparse matrix as coordinate MM or a dense array as array MM."""
+    if not isinstance(m, SparseMatrix):
         a = np.asarray(m, dtype=float)
         if a.ndim != 2:
             raise ValueError("expected a 2-D matrix")
-        banner, size = DENSE_BANNER, f"{a.shape[0]} {a.shape[1]}"
-        body = _array_body(a)
-    head = "\n".join([banner, *("%" + c for c in comment.splitlines()), size])
-    head = (head + "\n").encode("ascii")
-    digest = hashlib.sha256(head)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for chunk in body:
-            fh.write(chunk)
-            digest.update(chunk)
-    return digest.hexdigest()
+        import scipy.io  # here, so importing lsikit stays cheap
 
-
-def _distinct(bits):
-    """The sorted distinct values of the uint64 array ``bits`` and, for
-    each entry, the position of its value among them: what
-    ``np.unique(bits, return_inverse=True)`` returns, in less time.
-
-    Every lookup in the hash table is checked against the entry, and the
-    entries whose slot holds another value are found by binary search.
-    """
-    ordered = np.sort(bits)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    keys = ordered[first]
-    del ordered, first  # the sorted copy is as large as ``bits``
-    shift = 64 - max(min(_SLOTS_PER_KEY * keys.size, bits.size), 1).bit_length()
-    index_type = np.min_scalar_type(keys.size - 1)
-    slots = np.zeros(1 << (64 - shift), dtype=index_type)
-    slots[(keys * _KNUTH) >> np.uint64(shift)] = np.arange(keys.size, dtype=index_type)
-    where = np.empty(bits.size, dtype=index_type)
-    for lo in range(0, bits.size, _WRITE_CHUNK):
-        part = bits[lo:lo + _WRITE_CHUNK]
-        hashed = part * _KNUTH
-        hashed >>= np.uint64(shift)
-        found = where[lo:lo + _WRITE_CHUNK]
-        np.take(slots, hashed, out=found, mode="clip")  # in range: "raise" copies
-        miss = np.flatnonzero(keys[found] != part)
-        found[miss] = np.searchsorted(keys, part[miss])
-    return keys, where
-
-
-def _array_body(a):
-    """Entries in column-major order, one repr per line, as byte chunks.
-
-    Each distinct bit pattern is formatted once, which keeps -0.0, NaN
-    and inf exact, and a chunk of values at a time, since a string per
-    value costs several times the table's memory; lines are looked up in
-    a fixed-width table whose NUL padding is deleted from each chunk.
-    """
-    keys, where = _distinct(np.ravel(a, order="F").view(np.uint64))
-    if where.size == 0:
+        if str(path).endswith(".mtx"):
+            scipy.io.mmwrite(path, a, comment=comment, symmetry="general")
+        else:  # scipy would append ".mtx" to any other file name
+            with open(path, "wb") as fh:
+                scipy.io.mmwrite(fh, a, comment=comment, symmetry="general")
         return
-    values = keys.view(np.float64)
-    table = np.concatenate([
-        np.array([f"{v!r}\n" for v in values[lo:lo + _WRITE_CHUNK].tolist()], dtype="S")
-        for lo in range(0, values.size, _WRITE_CHUNK)])
-    for lo in range(0, where.size, _WRITE_CHUNK):
-        yield table[where[lo:lo + _WRITE_CHUNK]].tobytes().translate(None, b"\0")
+    head = "\n".join([SPARSE_BANNER, *("%" + c for c in comment.splitlines()),
+                      f"{m.rows} {m.cols} {m.nnz}"])
+    # Python scalars: numpy scalars took 1.6x as long to format
+    triplets = zip(m.row.tolist(), m.col.tolist(), m.data.tolist())
+    with open(path, "wb") as fh:
+        fh.write((head + "\n").encode("ascii"))
+        fh.write("".join(f"{r + 1} {c + 1} {v!r}\n" for r, c, v in triplets).encode("ascii"))
 
 
 @contextmanager

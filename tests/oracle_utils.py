@@ -4,14 +4,15 @@ These deliberately avoid the library's own code paths: plain loops,
 LAPACK via numpy, direct evaluation of the unrolled propagation
 chains, cyclic Jacobi solvers independent of the LAPACK the library
 calls, the full per-row completion step and its fixpoint loop, a
-label-setting completion closure, a per-element Matrix Market array
-writer and reader, per-query retrieval evaluation, the dense
+label-setting completion closure, per-element Matrix Market array
+writers and reader, per-query retrieval evaluation, the dense
 multiplicative-update NMF loop, and the per-column sign convention
 loop.  The NMF error trace is the exception: it reruns the library's
 factorization, one more update each time."""
 
 import heapq
 import warnings
+from decimal import Decimal
 
 import numpy as np
 
@@ -219,9 +220,33 @@ def closure_oracle(initial, s):
 
 
 def dense_mm_oracle(a):
-    """Matrix Market array text with every entry formatted on its own."""
+    """Matrix Market array text with every entry formatted on its own by
+    ``repr``, as lsikit wrote dense files before it used scipy's writer."""
     lines = ["%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
     lines.extend(repr(float(v)) for v in a.T.ravel())
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _scientific(v):
+    # the shortest round-trip digits d.ddd, then "E" and the exponent unless it is 0
+    if np.isnan(v):
+        return "NaN"
+    if np.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    sign, digits, exponent = Decimal(repr(v)).normalize().as_tuple()
+    head, tail = str(digits[0]), "".join(map(str, digits[1:]))
+    power = exponent + len(digits) - 1
+    return "-" * sign + head + ("." + tail if tail else "") + (f"E{power}" if power else "")
+
+
+def scipy_dense_mm_oracle(a):
+    """Matrix Market array text in the style of scipy's ``mmwrite``
+    (fast_matrix_market), with every entry formatted on its own."""
+    lines = ["%%MatrixMarket matrix array real general", "%", f"{a.shape[0]} {a.shape[1]}"]
+    # each distinct bit pattern formatted once
+    keys, where = np.unique(a.T.ravel().view(np.uint64), return_inverse=True)
+    text = [_scientific(v) for v in keys.view(np.float64).tolist()]
+    lines.extend(text[i] for i in where.tolist())
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -46,6 +46,17 @@ def test_sparse_rejects_duplicates_and_zeros():
         SparseMatrix(2, 2, [2], [0], [1.0])
 
 
+def test_sparse_rejects_a_duplicate_of_an_unsorted_input():
+    # (1, 0) twice, apart: only a sort brings the pair together
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseMatrix(2, 2, [1, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
+
+
+def test_sparse_rejects_adjacent_duplicates_of_a_sorted_input():
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseMatrix(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
+
+
 def test_sparse_is_immutable():
     s = SparseMatrix.from_dense(np.eye(2))
     with pytest.raises(ValueError):

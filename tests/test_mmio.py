@@ -1,17 +1,20 @@
 """Matrix Market reader/writer round trips."""
 
-import hashlib
 import re
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import _fast_matrix_market as fmm
 
 from lsikit import mmio
 from lsikit.matrix import SparseMatrix
 from lsikit.mmio import DENSE_BANNER, SPARSE_BANNER, read_matrix, read_shape, write_matrix
 
-from oracle_utils import dense_mm_oracle, dense_mm_read_oracle, sparse_mm_oracle
+from oracle_utils import (dense_mm_oracle, dense_mm_read_oracle, scipy_dense_mm_oracle,
+                          sparse_mm_oracle)
 
 
 def test_sparse_roundtrip_bitwise(tmp_path):
@@ -63,7 +66,7 @@ def _sparse_cases():
 @pytest.mark.parametrize("name,m", list(_sparse_cases()), ids=[n for n, _ in _sparse_cases()])
 def test_sparse_write_bytes_match_per_entry_writer(tmp_path, name, m):
     path = tmp_path / f"{name}.mtx"
-    assert write_matrix(path, m) == hashlib.sha256(sparse_mm_oracle(m)).hexdigest()
+    write_matrix(path, m)
     assert path.read_bytes() == sparse_mm_oracle(m)
 
 
@@ -132,7 +135,6 @@ def _dense_cases():
                         [2.2250738585072014e-308, -1e-310, nan_payload[0]],
                         [nan_payload[1], 1e300, -0.0]])
     rounded = np.round(rng.standard_normal((40, 30)), 1)
-    # 2000 values over 75k entries: enough distinct values for hash slot collisions
     few_distinct = rng.choice(rng.standard_normal(2000), size=(300, 250))
     yield "random", rng.standard_normal((17, 9)) * np.exp(rng.uniform(-30, 30, (17, 9)))
     yield "all_distinct", rng.random((25, 40))
@@ -140,7 +142,7 @@ def _dense_cases():
     yield "fortran_order", np.asfortranarray(rounded)
     yield "strided", rounded[::3, 1::2]
     yield "few_distinct", few_distinct
-    # columns longer than a write chunk, read in place and through a copy
+    # bodies of many of the writer's chunks, split over its threads
     tall = rng.choice(rng.standard_normal(5000), size=(70_000, 2))
     yield "tall_fortran", np.asfortranarray(tall)
     yield "tall_c_order", tall
@@ -152,16 +154,53 @@ def _dense_cases():
     yield "zero_cols", np.zeros((3, 0))
 
 
+def _same_values(got, want):
+    """Bitwise equal, except that any NaN may come back as another NaN."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
 @pytest.mark.parametrize("name,a", list(_dense_cases()), ids=[n for n, _ in _dense_cases()])
 def test_dense_write_bytes_match_per_entry_writer(tmp_path, name, a):
     path = tmp_path / f"{name}.mtx"
     write_matrix(path, a)
-    assert path.read_bytes() == dense_mm_oracle(a)
-    back = read_matrix(path)
-    assert back.shape == a.shape
-    if not np.isnan(a).any():
-        np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
-        np.testing.assert_array_equal(back, a)
+    assert path.read_bytes() == scipy_dense_mm_oracle(a)
+    _same_values(read_matrix(path), a)
+
+
+def test_dense_write_golden_bytes(tmp_path):
+    a = np.array([[0.1, -0.0, np.inf], [5e-324, -np.inf, np.nan], [1e300, -2.5, 1234.5]])
+    path = tmp_path / "g.mtx"
+    write_matrix(path, a)
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix array real general\n%\n3 3\n"
+        b"1E-1\n5E-324\n1E300\n-0\n-Infinity\n-2.5\nInfinity\nNaN\n1.2345E3\n")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,a", list(_dense_cases()), ids=[n for n, _ in _dense_cases()])
+def test_dense_write_bytes_do_not_depend_on_writer_threads(tmp_path, monkeypatch, name, a,
+                                                           threads):
+    write_matrix(tmp_path / "default.mtx", a)
+    monkeypatch.setattr(fmm, "PARALLELISM", threads)
+    write_matrix(tmp_path / "set.mtx", a)
+    assert (tmp_path / "set.mtx").read_bytes() == (tmp_path / "default.mtx").read_bytes()
+
+
+def test_dense_write_of_a_symmetric_matrix_is_general(tmp_path):
+    path = tmp_path / "eye.mtx"
+    write_matrix(path, np.eye(3))
+    assert _banner(path) == DENSE_BANNER
+    _same_values(read_matrix(path), np.eye(3))
+
+
+def test_dense_write_keeps_the_file_name(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(path, np.eye(2))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+    assert path.read_bytes() == scipy_dense_mm_oracle(np.eye(2))
 
 
 def test_dense_write_keeps_comments(tmp_path):
@@ -181,6 +220,15 @@ def test_dense_read_bits_match_per_token_reader(tmp_path, name, a):
     path = tmp_path / f"{name}.mtx"
     write_matrix(path, a)
     _same_bits(read_matrix(path), dense_mm_read_oracle(path))
+
+
+@pytest.mark.parametrize("name,a", list(_dense_cases()), ids=[n for n, _ in _dense_cases()])
+def test_dense_read_of_repr_text_matches_per_token_reader(tmp_path, name, a):
+    # index directories written before lsikit used scipy's writer hold this style
+    path = tmp_path / f"{name}.mtx"
+    path.write_bytes(dense_mm_oracle(a))
+    _same_bits(read_matrix(path), dense_mm_read_oracle(path))
+    _same_values(read_matrix(path), a)
 
 
 # Bodies after the banner line, read in text mode (CRLF becomes LF).
@@ -225,66 +273,38 @@ def test_dense_read_rejects_malformed_tokens(tmp_path, body):
         read_matrix(path)
 
 
-def _bits_cases():
-    rng = np.random.default_rng(11)
-    nan_payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
-                             0x7FF8000000000000], dtype=np.uint64)
-    yield "random", rng.standard_normal(5000).view(np.uint64)
-    yield "few_distinct", rng.choice(rng.standard_normal(3000), size=200_000).view(np.uint64)
-    # ends inside a third lookup chunk; 40k values collide in the slot table
-    yield "several_chunks", rng.choice(rng.standard_normal(40_000),
-                                       size=2 * mmio._WRITE_CHUNK + 17).view(np.uint64)
-    yield "signed_zeros", rng.choice([0.0, -0.0, 1.0], size=1000).view(np.uint64)
-    yield "nan_payloads", rng.choice(nan_payloads, size=1000)
-    yield "subnormals", rng.choice([5e-324, 1e-320, -2.5e-310, 2.2250738585072009e-308, 0.0],
-                                   size=1000).view(np.uint64)
-    yield "one", np.array([7], dtype=np.uint64)
-    yield "empty", np.zeros(0, dtype=np.uint64)
+_PEAK_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from lsikit.mmio import write_matrix
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+rng = np.random.default_rng(17)
+values = rng.standard_normal(500)
+a = np.empty((1000, 1000), order="F")
+for j in range(a.shape[1]):  # a column at a time: no full-size temporary
+    a[:, j] = rng.choice(values, a.shape[0])
+write_matrix(sys.argv[2] + "/warm.mtx", a[:3, :3])  # imports scipy.io, starts its threads
+before = peak()
+write_matrix(sys.argv[2] + "/m.mtx", a)
+print((peak() - before) / a.nbytes)
+"""
 
 
-@pytest.mark.parametrize("name,bits", list(_bits_cases()), ids=[n for n, _ in _bits_cases()])
-def test_distinct_equals_unique_with_inverse(monkeypatch, name, bits):
-    looked_up = []
-    searchsorted = np.searchsorted
-
-    def spy(keys, values, *args, **kwargs):
-        looked_up.append(np.size(values))
-        return searchsorted(keys, values, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", spy)
-    keys, where = mmio._distinct(bits)
-    want_keys, want_where = np.unique(bits, return_inverse=True)
-    np.testing.assert_array_equal(keys, want_keys)
-    np.testing.assert_array_equal(where, want_where.reshape(-1))
-    if name in ("few_distinct", "several_chunks"):
-        assert sum(looked_up) > 0  # slot collisions went through the binary search
-
-
-@pytest.mark.parametrize("m", [
-    SparseMatrix.from_dense(np.array([[0.0, 1.5], [-2.0, 0.0]])),
-    np.random.default_rng(3).standard_normal((70, 40)),
-    np.zeros((0, 3)),
-], ids=["sparse", "dense", "empty"])
-@pytest.mark.parametrize("comment", ["", "made by a test\nsecond line"])
-def test_write_returns_the_digest_of_the_bytes_written(tmp_path, m, comment):
-    path = tmp_path / "m.mtx"
-    assert write_matrix(path, m, comment=comment) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_dense_write_keeps_less_than_two_copies(tmp_path):
-    # the sorted copy is the one full-size temporary; the lookups run a
-    # chunk at a time into one small pattern number per entry
-    rng = np.random.default_rng(17)
-    a = np.asfortranarray(rng.choice(rng.standard_normal(500), size=(1000, 1000)))
-    path = tmp_path / "m.mtx"
-    tracemalloc.start()
-    try:
-        digest = write_matrix(path, a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert peak < 2 * a.nbytes, f"peak {peak / a.nbytes:.2f} copies"
+    # The C++ writer's buffers are invisible to tracemalloc, so this reads
+    # the peak resident size of a fresh interpreter.  Not ru_maxrss: Linux
+    # carries the forking process's peak across exec into it.
+    src = str(Path(mmio.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, src, str(tmp_path)],
+                         check=True, capture_output=True, text=True, timeout=120)
+    copies = float(out.stdout)
+    assert copies < 2, f"peak {copies:.2f} copies"
 
 
 @pytest.mark.parametrize("save", [np.save, np.savez], ids=["npy", "npz"])
