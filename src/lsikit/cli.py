@@ -205,15 +205,6 @@ def cmd_corpus_build(args):
 _CORPUS_FILES = ("vocabulary.txt", "docids.txt", "stats.json", "stoplist.txt")
 
 
-def _sha256(path):
-    # chunked: hashlib.file_digest needs Python 3.11
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_index(stager, array, meta):
     """Stage ``array`` as ``index.npy`` and ``index.mtx`` and record both
     files' digests in ``meta``.
@@ -221,14 +212,13 @@ def _write_index(stager, array, meta):
     The array is saved in Fortran order, the layout ``mmio.read_matrix``
     returns: a C-ordered copy changes the last bits of ``row @ a``,
     which can reorder nearly tied cosines in ``eval``.  The same
-    Fortran-ordered array is the text writer's input.  Both digests are
-    read back from the staged files.
+    Fortran-ordered array is the text writer's input, which returns the
+    digest of the text it wrote.
     """
     array = np.asfortranarray(array)
     np.save(stager.path("index.npy"), array, allow_pickle=False)
-    mmio.write_matrix(stager.path("index.mtx"), array)
-    meta["index_sha256"] = _sha256(stager.tmp_dir / "index.mtx")
-    meta["array_sha256"] = _sha256(stager.tmp_dir / "index.npy")
+    meta["index_sha256"] = mmio.write_matrix(stager.path("index.mtx"), array)
+    meta["array_sha256"] = mmio.file_sha256(stager.tmp_dir / "index.npy")
 
 
 def _index_meta(path):
@@ -247,8 +237,8 @@ def _read_matrix(path):
         return as_dense(np.load(path, allow_pickle=False))
     meta, twin = _index_meta(path), path.parent / "index.npy"
     if ("array_sha256" in meta and twin.exists()
-            and _sha256(path) == meta.get("index_sha256")
-            and _sha256(twin) == meta["array_sha256"]):
+            and mmio.file_sha256(path) == meta.get("index_sha256")
+            and mmio.file_sha256(twin) == meta["array_sha256"]):
         return np.load(twin, allow_pickle=False)
     return mmio.read_matrix(path)
 

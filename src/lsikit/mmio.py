@@ -14,6 +14,7 @@ matrix` banner with a real/integer field and general symmetry.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from contextlib import contextmanager
 
@@ -39,8 +40,20 @@ def _parse_banner(line: str):
     return layout
 
 
+def file_sha256(path):
+    """Hex SHA-256 of the bytes of the file at ``path``."""
+    # chunked: hashlib.file_digest needs Python 3.11
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def write_matrix(path, m, comment: str = ""):
-    """Write a sparse matrix as coordinate MM or a dense array as array MM."""
+    """Write a sparse matrix as coordinate MM or a dense array as array MM,
+    and return the hex SHA-256 of the bytes written, read back from the
+    file."""
     if not isinstance(m, SparseMatrix):
         a = np.asarray(m, dtype=float)
         if a.ndim != 2:
@@ -52,7 +65,7 @@ def write_matrix(path, m, comment: str = ""):
         else:  # scipy would append ".mtx" to any other file name
             with open(path, "wb") as fh:
                 scipy.io.mmwrite(fh, a, comment=comment, symmetry="general")
-        return
+        return file_sha256(path)
     head = "\n".join([SPARSE_BANNER, *("%" + c for c in comment.splitlines()),
                       f"{m.rows} {m.cols} {m.nnz}"])
     # Python scalars: numpy scalars took 1.6x as long to format
@@ -60,6 +73,7 @@ def write_matrix(path, m, comment: str = ""):
     with open(path, "wb") as fh:
         fh.write((head + "\n").encode("ascii"))
         fh.write("".join(f"{r + 1} {c + 1} {v!r}\n" for r, c, v in triplets).encode("ascii"))
+    return file_sha256(path)
 
 
 @contextmanager

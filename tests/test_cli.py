@@ -713,7 +713,7 @@ def test_points_below_two_are_rejected_before_reading_the_matrix(corpus_dir, mon
 
     monkeypatch.setattr(cli, "truncated_svd", never)
     monkeypatch.setattr(cli.mmio, "read_matrix", never)
-    monkeypatch.setattr(cli, "_sha256", never)  # the binary index is hashed before it is read
+    monkeypatch.setattr(cli.mmio, "file_sha256", never)  # the binary index is hashed before it is read
     source = {"eval": ["--index", str(corpus_dir / "idx" / "index.mtx")],
               "sweep": ["--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
                         "--ranks", "1:2"]}[command]

@@ -1,5 +1,6 @@
 """Matrix Market reader/writer round trips."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -271,6 +272,17 @@ def test_dense_read_rejects_malformed_tokens(tmp_path, body):
     path.write_text(DENSE_BANNER + "\n" + body)
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("m", [
+    SparseMatrix.from_dense(np.array([[0.0, 1.5], [-2.0, 0.0]])),
+    np.random.default_rng(3).standard_normal((70, 40)),
+    np.zeros((0, 3)),
+], ids=["sparse", "dense", "empty"])
+@pytest.mark.parametrize("comment", ["", "made by a test\nsecond line"])
+def test_write_returns_the_digest_of_the_bytes_written(tmp_path, m, comment):
+    path = tmp_path / "m.mtx"
+    assert write_matrix(path, m, comment=comment) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 _PEAK_SCRIPT = """
