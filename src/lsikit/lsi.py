@@ -23,13 +23,13 @@ fixpoint costs one copy.
 The dense update allocates nothing per target row.  It gathers a row's
 similarity neighbours from the input, read in place, into one
 preallocated buffer, at most ``_GATHER_ROWS`` at a time, scales them in
-place by their similarities, reduces them with max into a preallocated
-row and folds that into the output row once.  max is exact, so the bytes
-do not depend on the chunk size.  An input that is not C-ordered or
-holds a -0.0 is canonicalized once first; no iterate of
-:func:`complete` is either.  ``complete`` frees each iterate before it
-squares the next one for its norm, so it keeps at most two full-size
-arrays beside the step's chunks.
+place by their similarities, reduces each chunk with max into one
+preallocated row and folds that straight into the output row.  max is
+exact and independent of order, so the bytes do not depend on the chunk
+size.  An input that is not C-ordered or holds a -0.0 is canonicalized
+once first; no iterate of :func:`complete` is either.  ``complete``
+frees each iterate before it squares the next one for its norm, so it
+keeps at most two full-size arrays beside the step's chunks.
 """
 
 from __future__ import annotations
@@ -168,8 +168,9 @@ _PUSH_COST = 6
 # dense block's target rows are the words with a neighbour.
 _ROW_COST = 2000
 
-# Neighbour rows the dense block gathers at a time, so its buffer is
-# one (_GATHER_ROWS, width) array whatever a word's degree.
+# Neighbour rows the dense block gathers, reduces and folds into the
+# output row at a time, so its buffer is one (_GATHER_ROWS, width) array
+# whatever a word's degree.
 # On a Medline-size block 64 and 128 were fastest; 16 was 1.1-2x slower.
 _GATHER_ROWS = 128
 
@@ -220,38 +221,36 @@ def _scatter(out, cur, changed, s, rows, entries):
     """Push each changed entry of ``rows``, which have ``entries`` each,
     to its neighbours: the entries a block of rows at a time, their
     pushes in chunks."""
-    ends = np.cumsum(entries)
-    lo = 0
-    while lo < rows.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, start + _SCATTER_ENTRIES, side="right")), lo + 1)
-        _push(out, cur, changed, s, rows[lo:hi])
-        lo = hi
-
-
-def _push(out, cur, changed, s, rows):
     indptr, indices, data = s.matrix.indptr, s.matrix.indices, s.matrix.data
-    picked, j = np.nonzero(changed[rows])
-    k = rows[picked]
-    v = cur[k, j]
-    keep = v > 0  # zeros push nothing, and must not write a -0.0
-    k, j, v = k[keep], j[keep], v[keep]
-    deg = indptr[k + 1] - indptr[k]
-    end_of = np.cumsum(deg)
     flat = out.reshape(-1)
     n = out.shape[1]
-    lo = done = 0
-    while lo < k.size:
-        hi = max(int(np.searchsorted(end_of, done + _SCATTER_CHUNK, side="right")), lo + 1)
-        d = deg[lo:hi]
-        # position in ``indices`` of every push: each entry's row range
-        pos = np.repeat(indptr[k[lo:hi]] - (end_of[lo:hi] - d - done), d)
-        pos += np.arange(int(end_of[hi - 1]) - done)
-        # intp: int32 indices times n would wrap past 2**31 cells
-        np.maximum.at(flat, indices[pos].astype(np.intp) * n + np.repeat(j[lo:hi], d),
-                      data[pos] * np.repeat(v[lo:hi], d))
-        done = int(end_of[hi - 1])
-        lo = hi
+    ends = np.cumsum(entries)
+    block = 0
+    while block < rows.size:
+        start = int(ends[block - 1]) if block else 0
+        stop = max(int(np.searchsorted(ends, start + _SCATTER_ENTRIES, side="right")), block + 1)
+        k, j = np.nonzero(changed[rows[block:stop]])
+        k = rows[block + k]
+        block = stop
+        v = cur[k, j]
+        keep = v > 0  # zeros push nothing, and must not write a -0.0
+        k, j, v = k[keep], j[keep], v[keep]
+        deg = indptr[k + 1] - indptr[k]
+        end_of = np.cumsum(deg)
+        lo = done = 0
+        while lo < k.size:
+            hi = max(int(np.searchsorted(end_of, done + _SCATTER_CHUNK, side="right")), lo + 1)
+            d = deg[lo:hi]
+            # position in ``indices`` of every push: each entry's row range
+            pos = np.repeat(indptr[k[lo:hi]] - (end_of[lo:hi] - d - done), d)
+            pos += np.arange(int(end_of[hi - 1]) - done)
+            # intp: int32 indices times n would wrap past 2**31 cells
+            np.maximum.at(flat, indices[pos].astype(np.intp) * n + np.repeat(j[lo:hi], d),
+                          data[pos] * np.repeat(v[lo:hi], d))
+            done = int(end_of[hi - 1])
+            lo = hi
+            del d, pos  # freed before the next chunk's, and the next block's, are built
+        del k, j, v, keep, deg, end_of
 
 
 def _dense_block(out, cur, s):
@@ -264,22 +263,17 @@ def _dense_block(out, cur, s):
         cur = np.add(cur, 0.0, order="C")
     indptr, indices, weights = s.matrix.indptr.tolist(), s.matrix.indices, s.matrix.data[:, None]
     buf = np.empty((_GATHER_ROWS, cur.shape[1]))
-    acc = np.empty(cur.shape[1])
     best = np.empty(cur.shape[1])
     for i in np.flatnonzero(np.diff(s.matrix.indptr)).tolist():
-        first, hi = indptr[i], indptr[i + 1]
-        for lo in range(first, hi, _GATHER_ROWS):
+        row, hi = out[i], indptr[i + 1]
+        for lo in range(indptr[i], hi, _GATHER_ROWS):
             stop = min(lo + _GATHER_ROWS, hi)
             gathered = buf[:stop - lo]
             # mode="clip" fills the buffer in place; "raise" goes through a copy
             np.take(cur, indices[lo:stop], axis=0, out=gathered, mode="clip")
             gathered *= weights[lo:stop]
-            if lo == first:
-                np.maximum.reduce(gathered, axis=0, out=acc)
-            else:
-                np.maximum.reduce(gathered, axis=0, out=best)
-                np.maximum(acc, best, out=acc)
-        np.maximum(out[i], acc, out=out[i])
+            np.maximum.reduce(gathered, axis=0, out=best)
+            np.maximum(row, best, out=row)
 
 
 def complete(initial, maxiter: int = 100):
@@ -309,8 +303,8 @@ def complete(initial, maxiter: int = 100):
         a = nxt  # frees the previous iterate before the norm's squared copy
         norms.append(frobenius_norm(a))
         if counts[-1] == 0:
-            return a, CompletionTrace(tuple(norms), n, True, ps, tuple(counts))
-    return a, CompletionTrace(tuple(norms), maxiter, False, ps, tuple(counts))
+            break
+    return a, CompletionTrace(tuple(norms), n, counts[-1] == 0, ps, tuple(counts))
 
 
 def perfect_pair_percentage(s: SimilarityMatrix) -> float:

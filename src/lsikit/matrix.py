@@ -345,8 +345,9 @@ def nmf_factorize(a, k: int, iterations: int, seed: int):
     densified and a dense one gives the same factors as its sparse twin.
     Factor entries below the smallest normal float64 are set to 0.
     Both factors stay entrywise nonnegative and the Frobenius
-    reconstruction error is non-increasing across iterations.  Fixed
-    seed gives bitwise-identical factors.
+    reconstruction error is non-increasing across iterations.  A fixed
+    seed gives bitwise-identical factors at a fixed BLAS thread count,
+    and at any count inside :func:`blas_on_calling_thread`, as in the CLI.
 
     Returns ``(basis, coefficients)`` of shapes (M, k) and (k, N).
     """

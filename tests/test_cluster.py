@@ -1,5 +1,7 @@
 """Clustering pipelines, quality metrics, synthetic geometries."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,11 @@ def test_bipartite_rejects_zero_column():
     a = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match=r"\[1\]"):
         bipartite_svd_cluster(a, 2, seed=0)
+
+
+def test_bipartite_rejects_more_clusters_than_documents():
+    with pytest.raises(ValueError, match=re.escape("k=3 exceeds the number of documents 2")):
+        bipartite_svd_cluster(np.array([[1.0, 2.0], [3.0, 1.0]]), 3, seed=0)
 
 
 def test_bipartite_document_permutation_equivariance():
@@ -256,6 +263,11 @@ def test_mean_scores():
     b = QualityScores(0.0, 1.0, 0.5, 0.0)
     m = mean_scores([a, b])
     assert m == QualityScores(0.5, 0.5, 0.75, 0.5)
+
+
+def test_mean_scores_of_nothing_is_rejected():
+    with pytest.raises(ValueError, match="no scores to average"):
+        mean_scores([])
 
 
 # ---------------------------------------------------------------------------

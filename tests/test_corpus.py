@@ -78,6 +78,16 @@ def test_parse_duplicate_id_rejected():
         parse_smart(".I 1\n.W\na\n.I 1\n.W\nb\n")
 
 
+def test_parse_unknown_field_selection_rejected():
+    with pytest.raises(ValueError, match=r"unknown field selection \['Q'\]"):
+        parse_smart(".I 1\n.W\nx\n", ("W", "q"))
+
+
+def test_parse_field_section_before_any_record_rejected():
+    with pytest.raises(ValueError, match="line 1: field section before any record"):
+        parse_smart(".W\nx\n.I 1\n.W\ny\n")
+
+
 def test_parse_content_before_first_record_rejected():
     with pytest.raises(ValueError, match="line 1"):
         parse_smart("stray text\n.I 1\n.W\nx\n")
@@ -106,6 +116,11 @@ def test_qrels_smart_layout_with_trailing_scores():
 
 def test_qrels_trec_nonrelevant_rows_skipped():
     assert parse_qrels("1 0 17 1\n1 0 18 0\n") == {1: {17}}
+
+
+def test_qrels_one_column_row_rejected_with_line():
+    with pytest.raises(ValueError, match="line 2: qrels row needs at least two columns"):
+        parse_qrels("1 17\n3\n")
 
 
 def test_qrels_non_numeric_rejected_with_line():

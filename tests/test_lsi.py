@@ -503,6 +503,8 @@ def test_scatter_in_blocks_of_rows_equals_full_step(monkeypatch, entries):
         for _ in range(3):
             want = completion_step_oracle(cur + 0.0, s)
             _assert_same_bytes(completion_step(cur, s, changed=changed), want)
+            if changed is not None:  # blocks whose marked entries are all zeros push nothing
+                _assert_same_bytes(completion_step(cur, s, changed=changed | (cur == 0)), want)
             cur, changed = want, want != cur
 
 

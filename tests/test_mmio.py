@@ -122,6 +122,20 @@ def test_rejects_bad_headers(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket matrix vector real general\n2\n1.0\n2.0\n", "unsupported layout 'vector'"),
+    ("%%MatrixMarket matrix array real general\n% a comment and no size\n", "missing size line"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2\n", "bad coordinate size line: '2 2'"),
+    ("%%MatrixMarket matrix array real general\n2 2 4\n", "bad array size line: '2 2 4'"),
+], ids=["layout", "no-size-line", "coordinate-size", "array-size"])
+def test_rejects_bad_layouts_and_size_lines(tmp_path, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    for read in (read_shape, read_matrix):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(path)
+
+
 def test_rejects_truncated_body(tmp_path):
     path = tmp_path / "t.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")

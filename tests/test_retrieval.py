@@ -1,5 +1,6 @@
 """Cosine scoring and interpolated average-precision evaluation."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -242,6 +243,21 @@ def test_evaluate_respects_custom_doc_ids():
 def test_evaluate_dimension_mismatch_names_axis():
     with pytest.raises(ValueError, match="terms"):
         evaluate(np.ones((1, 3)), np.eye(2), {1: {1}})
+
+
+def test_prepare_queries_rejects_id_counts_that_do_not_match():
+    queries = np.ones((2, 3))
+    with pytest.raises(ValueError, match="query id count does not match query rows"):
+        retrieval.prepare_queries(queries, {1: {1}}, (3, 4), query_ids=[1])
+    with pytest.raises(ValueError, match="document id count does not match index columns"):
+        retrieval.prepare_queries(queries, {1: {1}}, (3, 4), doc_ids=[1, 2, 3])
+
+
+def test_evaluate_prepared_rejects_an_index_of_another_shape():
+    prepared = retrieval.prepare_queries(np.ones((1, 3)), {1: {1}}, (3, 4))
+    with pytest.raises(ValueError, match=re.escape(
+            "index has shape (3, 5), queries were prepared for (3, 4)")):
+        retrieval.evaluate_prepared(prepared, np.ones((3, 5)))
 
 
 def test_evaluate_rankings_equal_per_query_score_query(monkeypatch):
