@@ -50,9 +50,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.terms)
 
-    def __contains__(self, term):
-        return term in self.index
-
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -161,8 +158,7 @@ def parse_smart(content: str, fields=("W",)):
             if current_id is None:
                 if line.strip():
                     raise ValueError(f"line {lineno}: content before first record")
-                continue
-            if current_field in wanted:
+            elif current_field in wanted:
                 chunks.append(line)
     flush()
     return docs
@@ -189,8 +185,6 @@ def parse_qrels(content: str) -> dict:
             raise ValueError(f"line {lineno}: qrels row needs at least two columns")
         rows.append(values)
     judgments: dict = {}
-    if not rows:
-        return judgments
     trec_layout = all(len(r) >= 3 for r in rows) and all(r[1] == 0 for r in rows)
     for r in rows:
         if trec_layout:

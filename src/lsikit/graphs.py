@@ -5,11 +5,12 @@ Normalization schemes name the clustering objective whose relaxation
 they serve: degree-weighted association/cuts (``nassoc``/``ncuts``,
 which coincide after the cuts-to-affinity substitution), identity-
 weighted ratio variants (``rassoc``/``rcuts``), and a general form with
-caller-supplied vertex weights (``gwassoc``).  ``directed_weights`` is
-the one function that maps a scheme to its vertex weights phi, for
-symmetric and directed graphs alike, and ``_inv_sqrt`` the one that
-rejects a zero or negative weight.  Degrees of a sparse graph are summed
-from its triplets, without densifying.
+caller-supplied vertex weights (``gwassoc``).  A scheme is an argument
+of the normalization, not a property of the graph.  ``directed_weights``
+is the one function that checks a scheme name and phi and maps a scheme
+to its vertex weights, for symmetric and directed graphs alike, and
+``_inv_sqrt`` the one that rejects a zero or negative weight.  Degrees
+of a sparse graph are summed from its triplets, without densifying.
 """
 
 from __future__ import annotations
@@ -51,20 +52,11 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Symmetric nonnegative edge weights plus the normalization scheme.
-
-    ``phi`` supplies the explicit positive vertex-weight diagonal that
-    the ``gwassoc`` scheme requires; the packaged schemes derive theirs
-    from the weights.
-    """
+    """Square, symmetric, nonnegative edge weights, dense or sparse."""
 
     weights: object  # dense ndarray or SparseMatrix
-    scheme: str = "nassoc"
-    phi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         w = self.weights
         if isinstance(w, SparseMatrix):
             # checked on the triplets: densifying a bipartite embedding
@@ -81,13 +73,6 @@ class AffinityGraph:
                 raise ValueError("affinity matrix is not symmetric")
             if values.min() < 0:
                 raise ValueError("affinity matrix must be nonnegative")
-        if self.phi is not None:
-            phi = np.asarray(self.phi, dtype=float)
-            if phi.shape != (shape[0],):
-                raise ValueError("phi must be a vector matching the vertex count")
-            object.__setattr__(self, "phi", phi)
-        elif self.scheme == "gwassoc":
-            raise ValueError("gwassoc scheme requires an explicit phi diagonal")
 
 
 def _asymmetry(w) -> float:
@@ -138,7 +123,7 @@ def kernel_affinity(points, spec: KernelSpec) -> AffinityGraph:
         w = np.exp(-d2 / (2.0 * spec.alpha**2))
     if w.size and w.min() < 0:
         raise ValueError(f"{spec.kind} kernel produced negative affinities; adjust parameters")
-    return AffinityGraph(w, "nassoc")
+    return AffinityGraph(w)
 
 
 def degree_matrix(g: AffinityGraph) -> np.ndarray:
@@ -159,20 +144,23 @@ def _inv_sqrt(phi: np.ndarray, what: str) -> np.ndarray:
     return 1.0 / np.sqrt(phi)
 
 
-def normalize_affinity(g: AffinityGraph) -> np.ndarray:
-    """Weight-normalized affinity phi^(-1/2) W phi^(-1/2).
+def normalize_affinity(g: AffinityGraph, scheme: str = "nassoc",
+                       phi: np.ndarray | None = None) -> np.ndarray:
+    """Weight-normalized affinity phi^(-1/2) W phi^(-1/2) under ``scheme``.
 
-    Cuts-type schemes first replace the affinity by its association-form
-    equivalent: degree-weighted cuts reduce to the weights themselves,
-    ratio cuts use I - L = I - D + W.
+    ``phi`` is the explicit positive vertex-weight diagonal that
+    ``gwassoc`` requires; the other schemes derive theirs from the
+    weights.  Cuts-type schemes first replace the affinity by its
+    association-form equivalent: degree-weighted cuts reduce to the
+    weights themselves, ratio cuts use I - L = I - D + W.
     """
     w = as_dense(g.weights)
-    if g.scheme == "rcuts":
+    if scheme == "rcuts":
         affinity = np.eye(w.shape[0]) - np.diag(w.sum(axis=1)) + w
     else:
         affinity = w
     # w is symmetric, so its out-degrees are its degrees
-    phi = directed_weights(w, g.scheme, g.phi).out_degrees
+    phi = directed_weights(w, scheme, phi).out_degrees
     inv_sqrt = _inv_sqrt(phi, "isolated/zero-weight vertices")
     # outer-product scaling keeps the result exactly symmetric
     return affinity * np.outer(inv_sqrt, inv_sqrt)
@@ -188,7 +176,7 @@ def bipartite_embed(a) -> AffinityGraph:
     row = np.concatenate([a.row, a.col + m])
     col = np.concatenate([a.col + m, a.row])
     data = np.concatenate([a.data, a.data])
-    return AffinityGraph(SparseMatrix(m + n, m + n, row, col, data), "nassoc")
+    return AffinityGraph(SparseMatrix(m + n, m + n, row, col, data))
 
 
 def bipartite_normalize(a) -> np.ndarray:
@@ -210,23 +198,28 @@ def directed_weights(b, scheme: str = "nassoc", phi: np.ndarray | None = None) -
 
     Degree-weighted schemes use column sums (in) and row sums (out);
     ratio schemes use the identity; ``gwassoc`` takes the explicit
-    diagonal for both directions.
+    diagonal for both directions.  Every path that normalizes by a
+    scheme checks its name and phi here.
     """
     dense = as_dense(b)
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("directed affinity matrix must be square")
     n = dense.shape[0]
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if phi is not None:
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != (n,):
+            raise ValueError("phi must be a vector matching the vertex count")
     if scheme in ("nassoc", "ncuts"):
         ind = dense.sum(axis=0)
         outd = dense.sum(axis=1)
     elif scheme in ("rassoc", "rcuts"):
         ind = outd = np.ones(n)
-    elif scheme == "gwassoc":
-        if phi is None:
-            raise ValueError("gwassoc scheme requires an explicit phi diagonal")
-        ind = outd = np.asarray(phi, dtype=float)
+    elif phi is None:
+        raise ValueError("gwassoc scheme requires an explicit phi diagonal")
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        ind = outd = phi
     return DirectedWeights(ind, outd, np.sqrt(ind * outd))
 
 

@@ -27,6 +27,7 @@ EPS = np.finfo(float).eps
 _NMF_GUARD = 1e-9
 _NMF_TINY = np.finfo(float).tiny  # smallest normal float64
 _ORTHO_TOL = 1e-8
+KMEANS_RESTARTS = 10  # k-means++ seedings per kmeans call
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +447,9 @@ def _lloyd(x, centers, max_iter=300):
     return labels, inertia, history
 
 
-def kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """Best-of-``restarts`` k-means labels, k-means++ seeded, deterministic.
+def kmeans(points, k: int, seed: int) -> np.ndarray:
+    """Best-of-``KMEANS_RESTARTS`` k-means labels, k-means++ seeded,
+    deterministic.
 
     Points are the rows of ``points``.  The run with the lowest
     within-cluster sum of squared distances wins; ties keep the
@@ -459,11 +461,9 @@ def kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(x, k, rng)
         labels, inertia, _ = _lloyd(x, centers)
         if inertia < best_inertia:

@@ -4,12 +4,12 @@ Market Exchange Formats*, NIST IR 5935, 1996).
 
 Sparse values are written with ``repr``; dense arrays are written by
 scipy's multi-threaded C++ writer (fast_matrix_market), whose shortest
-round-trip style (``1E-1``, ``-0``, ``Infinity``, ``NaN``) puts a lone
-``%`` line after the banner when there is no comment, and whose bytes do
-not depend on its thread count.  Either way a matrix written and re-read
-comes back bitwise identical; a NaN comes back as the default NaN.  The
-banner line is kept canonical; readers accept any `%%MatrixMarket
-matrix` banner with a real/integer field and general symmetry.
+round-trip style (``1E-1``, ``-0``, ``Infinity``, ``NaN``) always puts a
+lone ``%`` line after the banner, and whose bytes do not depend on its
+thread count.  Either way a matrix written and re-read comes back
+bitwise identical; a NaN comes back as the default NaN.  The banner line
+is kept canonical; readers accept any `%%MatrixMarket matrix` banner
+with a real/integer field and general symmetry.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def file_sha256(path):
     return digest.hexdigest()
 
 
-def write_matrix(path, m, comment: str = ""):
+def write_matrix(path, m):
     """Write a sparse matrix as coordinate MM or a dense array as array MM,
     and return the hex SHA-256 of the bytes written, read back from the
     file."""
@@ -61,17 +61,15 @@ def write_matrix(path, m, comment: str = ""):
         import scipy.io  # here, so importing lsikit stays cheap
 
         if str(path).endswith(".mtx"):
-            scipy.io.mmwrite(path, a, comment=comment, symmetry="general")
+            scipy.io.mmwrite(path, a, symmetry="general")
         else:  # scipy would append ".mtx" to any other file name
             with open(path, "wb") as fh:
-                scipy.io.mmwrite(fh, a, comment=comment, symmetry="general")
+                scipy.io.mmwrite(fh, a, symmetry="general")
         return file_sha256(path)
-    head = "\n".join([SPARSE_BANNER, *("%" + c for c in comment.splitlines()),
-                      f"{m.rows} {m.cols} {m.nnz}"])
     # Python scalars: numpy scalars took 1.6x as long to format
     triplets = zip(m.row.tolist(), m.col.tolist(), m.data.tolist())
     with open(path, "wb") as fh:
-        fh.write((head + "\n").encode("ascii"))
+        fh.write(f"{SPARSE_BANNER}\n{m.rows} {m.cols} {m.nnz}\n".encode("ascii"))
         fh.write("".join(f"{r + 1} {c + 1} {v!r}\n" for r, c, v in triplets).encode("ascii"))
     return file_sha256(path)
 

@@ -70,7 +70,7 @@ def test_spectral_affinity_scale_invariance():
     w = np.asarray(g.weights)
 
     def labels_from(weights):
-        normalized = normalize_affinity(AffinityGraph(weights, "nassoc"))
+        normalized = normalize_affinity(AffinityGraph(weights), "nassoc")
         vec = symmetric_eigen_topk(normalized, 2).vectors
         norms = np.linalg.norm(vec, axis=1, keepdims=True)
         return kmeans(vec / norms, 2, seed=7)
@@ -253,9 +253,16 @@ def test_metrics_length_mismatch_rejected():
         eval_clustering([0, 1], [0, 1, 0])
 
 
+def test_metrics_of_empty_labelings_rejected():
+    with pytest.raises(ValueError, match="empty labelings cannot be scored"):
+        eval_clustering([], [])
+
+
 def test_clustering_run_validation():
     with pytest.raises(ValueError, match="out of range"):
         ClusteringRun(np.array([0, 2]), 2, "spectral", 0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        ClusteringRun(np.array([], dtype=np.int64), 0, "spectral", 0)
 
 
 def test_mean_scores():
@@ -303,3 +310,9 @@ def test_spectral_separates_moons():
 def test_label_accuracy_handles_swaps():
     assert label_accuracy([1, 1, 0, 0], [0, 0, 1, 1]) == 1.0
     assert label_accuracy([0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
+
+
+def test_label_accuracy_rejects_more_than_six_clusters():
+    assert label_accuracy(np.arange(6), np.arange(6)) == 1.0
+    with pytest.raises(ValueError, match="too many clusters"):
+        label_accuracy(np.arange(7), np.arange(7))

@@ -5,6 +5,7 @@ import pytest
 
 from lsikit.corpus import (
     Document,
+    TermDocMatrix,
     TokenizerConfig,
     Vocabulary,
     build_matrix,
@@ -40,6 +41,26 @@ def _synonymy_docs():
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Document(0, "x"), "document id must be positive, got 0"),
+    (lambda: Vocabulary(("a", "b", "a")), "vocabulary terms must be unique"),
+    (lambda: TermDocMatrix(SparseMatrix(2, 1, [0], [0], [1.0]), Vocabulary(("a",)), (1,)),
+     "row count must equal vocabulary size"),
+    (lambda: TermDocMatrix(SparseMatrix(1, 2, [0], [0], [1.0]), Vocabulary(("a",)), (1,)),
+     "column count must equal document count"),
+    (lambda: TermDocMatrix(SparseMatrix(1, 1, [0], [0], [-1.0]), Vocabulary(("a",)), (1,)),
+     "term-document entries must be nonnegative"),
+], ids=["document-id", "vocabulary-duplicate", "matrix-rows", "matrix-columns",
+        "matrix-negative"])
+def test_records_reject_invalid_fields(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+# ---------------------------------------------------------------------------
 # parse_smart
 
 
@@ -59,6 +80,12 @@ def test_parse_field_selection_and_order():
     assert parse_smart(content, ("W",))[0].text == "body text\nmore body"
     assert parse_smart(content, ("T", "W"))[0].text == "some title\nbody text\nmore body"
     assert parse_smart(content, ("T",))[0].text == "some title"
+
+
+def test_parse_keeps_text_on_a_field_tag_line():
+    content = ".I 1\n.T a title\n.W words here\nmore\n"
+    assert parse_smart(content)[0].text == "words here\nmore"
+    assert parse_smart(content, ("T", "W"))[0].text == "a title\nwords here\nmore"
 
 
 def test_parse_unknown_tag_warns_and_is_ignored():
@@ -116,6 +143,11 @@ def test_qrels_smart_layout_with_trailing_scores():
 
 def test_qrels_trec_nonrelevant_rows_skipped():
     assert parse_qrels("1 0 17 1\n1 0 18 0\n") == {1: {17}}
+
+
+def test_qrels_blank_lines_are_skipped():
+    assert parse_qrels("1 17\n\n   \n2 4\n") == {1: {17}, 2: {4}}
+    assert parse_qrels("\n \n") == {}
 
 
 def test_qrels_one_column_row_rejected_with_line():
@@ -290,3 +322,8 @@ def test_query_of_only_stopwords_warns_and_is_zero():
     with pytest.warns(UserWarning, match="no vocabulary terms"):
         q = build_query_matrix([Document(7, "the and")], tdm.vocabulary, config)
     assert not q.any()
+
+
+def test_query_matrix_rejects_an_empty_vocabulary():
+    with pytest.raises(ValueError, match="vocabulary is empty"):
+        build_query_matrix([Document(1, "mark twain")], Vocabulary(()))

@@ -1,11 +1,14 @@
 """Affinity construction, normalization schemes, embeddings, shifts."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lsikit.graphs import (
+    SCHEMES,
     AffinityGraph,
     DirectedWeights,
     KernelSpec,
@@ -75,7 +78,7 @@ def test_sigmoid_kernel_hand_example():
 
 
 def test_degree_identity_weights():
-    g = AffinityGraph(np.eye(3), "rassoc")
+    g = AffinityGraph(np.eye(3))
     np.testing.assert_array_equal(degree_matrix(g), [1.0, 1.0, 1.0])
 
 
@@ -120,21 +123,21 @@ def test_normalize_rassoc_is_identity_operation():
     rng = np.random.default_rng(3)
     x = rng.random((4, 4))
     w = (x + x.T) / 2
-    g = AffinityGraph(w, "rassoc")
-    np.testing.assert_array_equal(normalize_affinity(g), w)
+    np.testing.assert_array_equal(normalize_affinity(AffinityGraph(w), "rassoc"), w)
 
 
 def test_normalize_nassoc_two_vertex_graph():
-    g = AffinityGraph(np.array([[0.0, 2.0], [2.0, 0.0]]), "nassoc")
-    np.testing.assert_allclose(normalize_affinity(g), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+    g = AffinityGraph(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    np.testing.assert_allclose(normalize_affinity(g, "nassoc"), [[0.0, 1.0], [1.0, 0.0]],
+                               atol=1e-15)
 
 
 def test_normalize_nassoc_spectral_radius_at_most_one():
     rng = np.random.default_rng(4)
     x = rng.random((4, 4))
     w = x + x.T
-    g = AffinityGraph(w, "nassoc")
-    top = np.linalg.eigvalsh(normalize_affinity(g)).max()  # independent oracle
+    # eigvalsh: an independent oracle
+    top = np.linalg.eigvalsh(normalize_affinity(AffinityGraph(w), "nassoc")).max()
     assert top <= 1.0 + 1e-10
 
 
@@ -142,44 +145,92 @@ def test_normalize_ncuts_equals_nassoc():
     rng = np.random.default_rng(5)
     x = rng.random((5, 5))
     w = x + x.T
-    a = normalize_affinity(AffinityGraph(w, "nassoc"))
-    b = normalize_affinity(AffinityGraph(w, "ncuts"))
+    a = normalize_affinity(AffinityGraph(w), "nassoc")
+    b = normalize_affinity(AffinityGraph(w), "ncuts")
     np.testing.assert_array_equal(a, b)
 
 
 def test_normalize_rcuts_uses_shifted_laplacian():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = normalize_affinity(AffinityGraph(w, "rcuts"))
+    out = normalize_affinity(AffinityGraph(w), "rcuts")
     np.testing.assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
     w2 = np.array([[0.0, 2.0], [2.0, 0.0]])
-    out2 = normalize_affinity(AffinityGraph(w2, "rcuts"))
+    out2 = normalize_affinity(AffinityGraph(w2), "rcuts")
     np.testing.assert_allclose(out2, [[-1.0, 2.0], [2.0, -1.0]], atol=1e-15)
 
 
 def test_normalize_gwassoc_explicit_weights():
     w = np.array([[0.0, 6.0], [6.0, 0.0]])
-    g = AffinityGraph(w, "gwassoc", phi=np.array([4.0, 9.0]))
-    np.testing.assert_allclose(normalize_affinity(g), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-    with pytest.raises(ValueError, match="phi"):
-        AffinityGraph(w, "gwassoc")
+    out = normalize_affinity(AffinityGraph(w), "gwassoc", phi=np.array([4.0, 9.0]))
+    np.testing.assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+    with pytest.raises(ValueError, match="gwassoc scheme requires an explicit phi"):
+        normalize_affinity(AffinityGraph(w), "gwassoc")
 
 
 def test_normalize_rejects_isolated_vertex_with_list():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
-    g = AffinityGraph(w, "nassoc")
     with pytest.raises(ValueError, match=r"\[2\]"):
-        normalize_affinity(g)
+        normalize_affinity(AffinityGraph(w), "nassoc")
 
 
 def test_normalize_gwassoc_rejects_zero_and_negative_weights():
     w = np.array([[0.0, 6.0], [6.0, 0.0]])
-    g = AffinityGraph(w, "gwassoc", phi=np.array([4.0, 0.0]))
     with pytest.raises(ValueError, match=r"normalization undefined for isolated/zero-weight "
                                          r"vertices \[1\]"):
-        normalize_affinity(g)
+        normalize_affinity(AffinityGraph(w), "gwassoc", phi=np.array([4.0, 0.0]))
     with pytest.raises(ValueError, match="degree weights must be nonnegative"):
-        normalize_affinity(AffinityGraph(w, "gwassoc", phi=np.array([-4.0, 9.0])))
+        normalize_affinity(AffinityGraph(w), "gwassoc", phi=np.array([-4.0, 9.0]))
+
+
+_TWO_VERTEX_NORMALIZED = {
+    "gwassoc": [[0.0, 1.0], [1.0, 0.0]],  # phi = (4, 9): 6 / sqrt(4 * 9)
+    "nassoc": [[0.0, 1.0], [1.0, 0.0]],
+    "ncuts": [[0.0, 1.0], [1.0, 0.0]],
+    "rassoc": [[0.0, 6.0], [6.0, 0.0]],
+    "rcuts": [[-5.0, 6.0], [6.0, -5.0]],  # I - D + W
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_normalizes_a_two_vertex_graph(scheme):
+    g = AffinityGraph(np.array([[0.0, 6.0], [6.0, 0.0]]))
+    phi = np.array([4.0, 9.0]) if scheme == "gwassoc" else None
+    np.testing.assert_allclose(normalize_affinity(g, scheme, phi),
+                               _TWO_VERTEX_NORMALIZED[scheme], rtol=0, atol=1e-15)
+
+
+def _normalize_graph(b, scheme, phi=None):
+    return normalize_affinity(AffinityGraph(b), scheme, phi)
+
+
+# every path that normalizes by a scheme, as (matrix, scheme, phi) -> result
+_SCHEME_PATHS = {
+    "directed_weights": directed_weights,
+    "directed_symmetrize": directed_symmetrize,
+    "normalize_affinity": _normalize_graph,
+}
+
+
+@pytest.mark.parametrize("path", list(_SCHEME_PATHS))
+def test_unknown_scheme_is_rejected_with_the_list_of_schemes(path):
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    message = f"unknown scheme 'fancy', expected one of {SCHEMES}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _SCHEME_PATHS[path](b, "fancy")
+
+
+@pytest.mark.parametrize("phi", [4.0, [[4.0, 9.0]], [4.0, 9.0, 1.0]],
+                         ids=["scalar", "2-D", "wrong-length"])
+@pytest.mark.parametrize("path", list(_SCHEME_PATHS))
+def test_phi_must_be_a_vector_matching_the_vertex_count(path, phi):
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="phi must be a vector matching the vertex count"):
+        _SCHEME_PATHS[path](b, "gwassoc", phi)
+
+
+def test_an_affinity_graph_is_only_its_weights():
+    assert [f.name for f in dataclasses.fields(AffinityGraph)] == ["weights"]
 
 
 def test_normalization_preserves_zero_pattern():
@@ -188,7 +239,7 @@ def test_normalization_preserves_zero_pattern():
     w = np.where(x + x.T > 1.0, x + x.T, 0.0)
     w = (w + w.T) / 2
     np.fill_diagonal(w, 1.0)  # keep all degrees positive
-    out = normalize_affinity(AffinityGraph(w, "nassoc"))
+    out = normalize_affinity(AffinityGraph(w), "nassoc")
     np.testing.assert_array_equal(out == 0, w == 0)
 
 
@@ -328,7 +379,7 @@ def test_normalize_affinity_exactly_symmetric():
     rng = np.random.default_rng(10)
     for _ in range(100):
         x = rng.random((7, 7)) + 0.01
-        out = normalize_affinity(AffinityGraph(x + x.T, "nassoc"))
+        out = normalize_affinity(AffinityGraph(x + x.T), "nassoc")
         np.testing.assert_array_equal(out, out.T)  # bitwise
 
 
@@ -380,7 +431,7 @@ def test_affinity_graph_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         AffinityGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="scheme"):
-        AffinityGraph(np.eye(2), "fancy")
+        normalize_affinity(AffinityGraph(np.eye(2)), "fancy")
 
 
 def test_sparse_affinity_graph_validation_matches_dense():
@@ -390,13 +441,25 @@ def test_sparse_affinity_graph_validation_matches_dense():
         with pytest.raises(ValueError, match="nonnegative"):
             AffinityGraph(form(np.array([[0.0, -1.0], [-1.0, 0.0]])))
         with pytest.raises(ValueError, match="phi"):
-            AffinityGraph(form(np.eye(2)), "gwassoc", phi=np.ones(3))
+            normalize_affinity(AffinityGraph(form(np.eye(2))), "gwassoc", phi=np.ones(3))
         # asymmetry may reach 1e-12 * max(|w|, 1), entries absent on one side included
         AffinityGraph(form(np.array([[0.0, 1e3], [1e3 + 1e-10, 0.0]])))
         for w in ([[0.0, 1.0], [1.0 + 1e-11, 0.0]], [[0.0, 2e-12], [0.0, 0.0]]):
             with pytest.raises(ValueError, match="symmetric"):
                 AffinityGraph(form(np.array(w)))
         AffinityGraph(form(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: kernel_affinity(np.ones(3), KernelSpec("gaussian", alpha=1.0)),
+     "points must be a 2-D array with columns as points"),
+    (lambda: bipartite_embed(np.array([[1.0, -1.0]])), "input must be nonnegative"),
+    (lambda: bipartite_normalize(np.array([[1.0, -1.0]])), "input must be nonnegative"),
+    (lambda: directed_weights(np.ones((2, 3))), "directed affinity matrix must be square"),
+], ids=["kernel-points-not-2-D", "embed-negative", "normalize-negative", "directed-not-square"])
+def test_graph_builders_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_bipartite_embed_of_order_20k_stays_sparse():

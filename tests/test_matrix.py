@@ -42,8 +42,16 @@ def test_sparse_rejects_duplicates_and_zeros():
         SparseMatrix(2, 2, [0], [1], [0.0])
     with pytest.raises(ValueError, match="finite"):
         SparseMatrix(2, 2, [0], [1], [np.inf])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="row index out of range"):
         SparseMatrix(2, 2, [2], [0], [1.0])
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMatrix(2, 2, [0], [2], [1.0])
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        SparseMatrix(-1, 2, [], [], [])
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        SparseMatrix(2, 2, [0, 1], [1], [1.0])
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        SparseMatrix.from_dense(np.ones(3))
 
 
 def test_sparse_rejects_a_duplicate_of_an_unsorted_input():
@@ -290,6 +298,10 @@ def test_factor_validation_rejects_bad_shapes():
         SvdFactors(np.ones((2, 2)), np.array([1.0, 0.5]), np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
         EigenPairs(np.array([1.0, 0.5]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="vector count does not match value count"):
+        EigenPairs(np.array([1.0, 0.5]), np.eye(3))
+    with pytest.raises(ValueError, match="eigenvalues must be non-increasing"):
+        EigenPairs(np.array([0.5, 1.0]), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +460,8 @@ def test_kmeans_rejects_bad_arguments():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError, match="out of range"):
         kmeans(x, 4, seed=0)
-    with pytest.raises(ValueError, match="restarts"):
-        kmeans(x, 2, seed=0, restarts=0)
+    with pytest.raises(ValueError, match="points must be a 2-D array with rows as points"):
+        kmeans(np.zeros(3), 1, seed=0)
 
 
 def test_kmeans_deterministic():
