@@ -19,6 +19,12 @@ Every command runs numpy's OpenBLAS on the calling thread
 (:func:`lsikit.matrix.blas_on_calling_thread`), so its GEMMs, GEMVs,
 NMF and LAPACK calls, and with them every output byte, do not depend on
 the BLAS thread count.
+``sweep`` factorizes its NMF baseline in one forked worker process while
+it computes the SVD curve and the completion itself, on Linux with at
+least two usable CPUs; elsewhere it factorizes inline, after the
+completion.  The worker makes the same call on its calling thread's BLAS,
+so the bytes it sends back equal the inline path's, and it is killed and
+reaped if the command fails first, so no process outlives the command.
 ``eval`` and ``sweep`` tokenize queries as the matrix's corpus was
 tokenized, by the files beside the matrix alone, never through a
 recorded path or an option, so a corpus or index directory can be moved
@@ -405,10 +411,103 @@ def _parse_ranks(spec: str, limit: int):
     return sorted(ranks)
 
 
+def _forks_a_worker() -> bool:
+    """Whether :class:`_Worker` forks: on Linux only (macOS's Accelerate
+    BLAS is not fork-safe), and only with at least two CPUs this process
+    may run on, since the worker and the caller then both compute."""
+    return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
+
+
+class _Worker:
+    """``func(*args)`` on the calling thread's BLAS, computed while the
+    ``with`` block runs.  When :func:`_forks_a_worker` holds, a forked
+    worker makes the call from the start of the block and sends back its
+    pickled result, or the exception it raised, over a pipe; otherwise
+    :meth:`result` makes the call itself.  Either way :meth:`result`
+    returns the same bytes or raises an exception of the same type and
+    message.  A worker still running when the block is left is killed and
+    reaped, so none outlives the block."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+        self.pid = None
+
+    def _call(self):
+        with blas_on_calling_thread():
+            return self.func(*self.args)
+
+    def __enter__(self):
+        if _forks_a_worker():
+            read_fd, write_fd = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if self.pid == 0:
+                os.close(read_fd)
+                self._serve(write_fd)
+            os.close(write_fd)
+            self.pipe = os.fdopen(read_fd, "rb")
+        return self
+
+    def _serve(self, fd):
+        """The worker's whole life; it never returns to the caller's stack."""
+        import pickle
+
+        code = 1
+        try:
+            try:
+                reply = (True, self._call())
+            except Exception as exc:
+                reply = (False, exc)
+            with os.fdopen(fd, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            # no atexit handler runs and no inherited stdio buffer is flushed twice
+            os._exit(code)
+
+    def result(self):
+        if self.pid is None:
+            return self._call()
+        import pickle
+
+        reply = self.pipe.read()
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            import signal
+
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with code {code}")
+            raise ChildProcessError(f"the {self.func.__name__} worker {how} "
+                                    "before it sent its result")
+        # bytes that this process's own fork wrote
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            self.pipe.close()
+
+
 def cmd_sweep(args):
     """MAP of every SVD rank, of the completed matrix and of the NMF
     baseline.  The NMF factorizes the matrix as read, sparse, but
-    retrieval scores the dense M x N product of its factors."""
+    retrieval scores the dense M x N product of its factors.  The NMF
+    runs in a :class:`_Worker` while this process computes the SVD curve
+    and the completion."""
     shape = mmio.read_shape(args.matrix)
     limit = min(shape)
     ranks = _parse_ranks(args.ranks, limit)
@@ -416,18 +515,19 @@ def cmd_sweep(args):
     if not 1 <= nmf_rank <= limit:
         raise SystemExit(f"invalid --nmf-rank {nmf_rank}: must lie in [1, {limit}]")
     matrix = mmio.read_matrix(args.matrix)
-    qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, shape[0])
-    prepared = retrieval_mod.prepare_queries(qmatrix, judgments, shape, args.points,
-                                             query_ids=qids, doc_ids=doc_ids)
+    with _Worker(nmf_factorize, matrix, nmf_rank, args.nmf_iterations, args.seed) as nmf:
+        qmatrix, qids, doc_ids, judgments = _load_queries(args, args.matrix, shape[0])
+        prepared = retrieval_mod.prepare_queries(qmatrix, judgments, shape, args.points,
+                                                 query_ids=qids, doc_ids=doc_ids)
 
-    def mean_avgp(index):
-        return retrieval_mod.evaluate_prepared(prepared, index).mean_avgp
+        def mean_avgp(index):
+            return retrieval_mod.evaluate_prepared(prepared, index).mean_avgp
 
-    full = truncated_svd(matrix, limit)
-    svd_means = [mean_avgp(rank_k_reconstruct(full, k)) for k in ranks]
-    completed, trace = lsi_mod.complete(matrix, args.maxiter)
-    completion_mean = mean_avgp(completed)
-    basis, coeff = nmf_factorize(matrix, nmf_rank, args.nmf_iterations, args.seed)
+        full = truncated_svd(matrix, limit)
+        svd_means = [mean_avgp(rank_k_reconstruct(full, k)) for k in ranks]
+        completed, trace = lsi_mod.complete(matrix, args.maxiter)
+        completion_mean = mean_avgp(completed)
+        basis, coeff = nmf.result()
     nmf_mean = mean_avgp(basis @ coeff)
 
     best = int(np.argmax(svd_means))

@@ -10,7 +10,11 @@ of the normalization, not a property of the graph.  ``directed_weights``
 is the one function that checks a scheme name and phi and maps a scheme
 to its vertex weights, for symmetric and directed graphs alike, and
 ``_inv_sqrt`` the one that rejects a zero or negative weight.  Degrees
-of a sparse graph are summed from its triplets, without densifying.
+of a sparse graph are summed from its triplets, without densifying, and
+``AffinityGraph`` validates a sparse graph on its triplets; but
+``normalize_affinity`` and ``directed_weights`` densify a sparse graph
+into an n x n array: (M+N) x (M+N) for the ``bipartite_embed`` of an
+M x N matrix.
 """
 
 from __future__ import annotations
@@ -153,6 +157,11 @@ def normalize_affinity(g: AffinityGraph, scheme: str = "nassoc",
     weights.  Cuts-type schemes first replace the affinity by its
     association-form equivalent: degree-weighted cuts reduce to the
     weights themselves, ratio cuts use I - L = I - D + W.
+
+    The result is a dense n x n array, and a sparse graph is densified
+    first: normalizing the ``bipartite_embed`` of an M x N matrix holds
+    two (M+N) x (M+N) arrays at once, three under ``rcuts``, the result
+    included.
     """
     w = as_dense(g.weights)
     if scheme == "rcuts":
@@ -199,7 +208,7 @@ def directed_weights(b, scheme: str = "nassoc", phi: np.ndarray | None = None) -
     Degree-weighted schemes use column sums (in) and row sums (out);
     ratio schemes use the identity; ``gwassoc`` takes the explicit
     diagonal for both directions.  Every path that normalizes by a
-    scheme checks its name and phi here.
+    scheme checks its name and phi here.  A sparse ``b`` is densified.
     """
     dense = as_dense(b)
     if dense.shape[0] != dense.shape[1]:

@@ -194,6 +194,11 @@ def _openblas_threads_setter():
     return setter
 
 
+# blocks of blas_on_calling_thread open in this process; a forked child
+# inherits the count together with OpenBLAS's one-thread setting
+_blas_blocks = 0
+
+
 @contextmanager
 def blas_on_calling_thread():
     """Run numpy's OpenBLAS on one thread, the caller's, inside the block.
@@ -204,16 +209,26 @@ def blas_on_calling_thread():
     restored on exit; blocks nest.  The setting is process-wide in
     practice (another Python thread's BLAS calls see it too), so hold it
     only around computation.  Without OpenBLAS this does nothing.
+
+    Only the outermost block calls OpenBLAS; a nested block, also one
+    entered in a process forked inside a block, finds one thread already
+    set.  OpenBLAS stops its thread pool before a fork and starts it again
+    at its next thread-count call, and a new pool thread spins for about
+    0.1 s before it sleeps, on a CPU that both processes need.
     """
+    global _blas_blocks
     setter = _openblas_threads_setter()
     if setter is None:
         yield
         return
-    previous = setter(1)
+    previous = setter(1) if _blas_blocks == 0 else None
+    _blas_blocks += 1
     try:
         yield
     finally:
-        setter(previous)
+        _blas_blocks -= 1
+        if previous is not None:
+            setter(previous)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,21 @@ QUERY_BANK_MONEY_SCORES = np.array([0.77, 0.41, 0.77, 0.41, 0.79, 0.51])
 QUERY_RIVER_BANK_SCORES = np.array([0.41, 0.77, 0.41, 0.77, 0.51, 0.79])
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped,
+    as ``sweep``'s NMF worker would if it outlived its command."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process behind, "
+                + ("still running" if pid == 0 else f"exited but unreaped (pid {pid})"))
+
+
 @pytest.fixture
 def synonymy():
     return SYNONYMY.copy()

@@ -6,9 +6,11 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -657,6 +659,105 @@ def test_sweep_csv_layout_and_determinism(corpus_dir):
     assert summary["best_rank"] in (1, 2, 3)
 
 
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="sweep forks its NMF worker on Linux only")
+
+
+def _sweep(corpus_dir, out):
+    return ["sweep", "--matrix", str(corpus_dir / "corpus" / "matrix.mtx"),
+            "--queries", str(corpus_dir / "queries.txt"), "--qrels", str(corpus_dir / "qrels.txt"),
+            "--ranks", "1:3", "--out", str(corpus_dir / out), "--quiet"]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Makes sweep fork its worker, counts the forks, and ends the test
+    with SIGALRM if it waits on the worker for more than a minute."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def expire(signum, frame):
+        raise TimeoutError("sweep waited on its worker for a minute")
+
+    monkeypatch.setattr(cli, "_forks_a_worker", lambda: True)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield forks
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@linux_only
+def test_sweep_writes_the_same_bytes_with_the_worker_and_inline(corpus_dir, forked, monkeypatch):
+    assert main(_sweep(corpus_dir, "worker")) == 0
+    assert len(forked) == 1
+    monkeypatch.setattr(cli, "_forks_a_worker", lambda: False)
+    assert main(_sweep(corpus_dir, "inline")) == 0
+    assert len(forked) == 1
+    for name in ("sweep.csv", "sweep.json"):
+        assert (corpus_dir / "worker" / name).read_bytes() == \
+            (corpus_dir / "inline" / name).read_bytes()
+
+
+@linux_only
+def test_sweep_reraises_the_exception_of_its_worker(corpus_dir, forked, monkeypatch, capsys):
+    caller = os.getpid()
+
+    def failing_factorize(*args):
+        raise ValueError("factorizing in the " + ("caller" if os.getpid() == caller else "worker"))
+
+    monkeypatch.setattr(cli, "nmf_factorize", failing_factorize)
+    assert main(_sweep(corpus_dir, "sweep")) == 1
+    assert len(forked) == 1
+    assert capsys.readouterr().err == "error: factorizing in the worker\n"
+    assert not (corpus_dir / "sweep").exists()
+
+
+@linux_only
+@pytest.mark.parametrize("death, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    (lambda: os._exit(3), "exited with code 3"),
+], ids=["sigkill", "exit-3"])
+def test_a_worker_that_dies_without_a_result_is_an_error(corpus_dir, forked, monkeypatch,
+                                                         capsys, death, how):
+    caller = os.getpid()
+
+    def dying_factorize(*args):
+        if os.getpid() == caller:
+            raise AssertionError("the NMF ran in the caller")
+        death()
+
+    monkeypatch.setattr(cli, "nmf_factorize", dying_factorize)
+    assert main(_sweep(corpus_dir, "sweep")) == 1
+    assert capsys.readouterr().err == \
+        f"error: the dying_factorize worker {how} before it sent its result\n"
+    assert not (corpus_dir / "sweep").exists()
+
+
+@linux_only
+def test_a_failure_in_the_caller_kills_and_reaps_the_worker(corpus_dir, forked, monkeypatch):
+    caller = os.getpid()
+
+    def endless_factorize(*args):
+        while os.getpid() != caller:
+            time.sleep(1)
+
+    monkeypatch.setattr(cli, "nmf_factorize", endless_factorize)
+    with open(corpus_dir / "corpus" / "vocabulary.txt", "a", encoding="utf-8") as fh:
+        fh.write("extra\n")
+    with pytest.raises(SystemExit, match="vocabulary axis mismatch"):
+        main(_sweep(corpus_dir, "sweep"))
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _child_env():
     """The environment of a fresh interpreter that imports this lsikit."""
     src = str(Path(lsikit.__file__).resolve().parent.parent)
@@ -903,6 +1004,7 @@ def test_nmf_commands_never_densify_the_matrix(corpus_dir, monkeypatch):
     monkeypatch.setattr(SparseMatrix, "toarray", spy_toarray)
     monkeypatch.setattr(cluster_mod, "nmf_factorize", spy_factorize)
     monkeypatch.setattr(cli, "nmf_factorize", spy_factorize)
+    monkeypatch.setattr(cli, "_forks_a_worker", lambda: False)  # the spies count in this process
     matrix = str(corpus_dir / "corpus" / "matrix.mtx")
     assert main(["cluster", "--matrix", matrix, "--method", "nmf", "--k", "2",
                  "--trials", "2", "--out", str(corpus_dir / "c"), "--quiet"]) == 0

@@ -113,6 +113,53 @@ def test_switch_runs_one_thread_and_restores_the_count():
     assert count() == before
 
 
+def test_only_the_outermost_block_calls_openblas(monkeypatch):
+    calls = []
+
+    def setter(n):
+        calls.append(n)
+        return 4 if n == 1 else 1
+
+    monkeypatch.setattr(matrix, "_openblas_threads_setter", lambda: setter)
+    with blas_on_calling_thread():
+        with blas_on_calling_thread(), blas_on_calling_thread():
+            pass
+        assert calls == [1]
+    assert calls == [1, 4]
+    with pytest.raises(RuntimeError), blas_on_calling_thread(), blas_on_calling_thread():
+        raise RuntimeError
+    assert calls == [1, 4, 1, 4]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+def test_a_block_in_a_process_forked_inside_a_block_starts_no_thread():
+    # OpenBLAS stops its pool before a fork and restarts it at the next
+    # thread-count call; sweep's NMF worker enters a block in such a child
+    if matrix._openblas_threads_setter() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    script = """
+import os, sys
+import numpy as np
+from lsikit.matrix import blas_on_calling_thread
+a = np.ones((200, 200))
+a @ a
+with blas_on_calling_thread():
+    pid = os.fork()
+    if pid == 0:
+        with blas_on_calling_thread():
+            a @ a
+        os._exit(len(os.listdir("/proc/self/task")))
+    _, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(Path(lsikit.__file__).parent.parent),
+                                                        os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.split() == ["1"]  # the child's one thread: no pool thread restarted
+
+
 def test_switch_does_nothing_when_the_symbol_is_absent(monkeypatch):
     class NoOpenBlas:
         def __init__(self, path):
