@@ -265,10 +265,13 @@ def _sign_fix(vectors):
 
 def require_symmetric(h) -> np.ndarray:
     """``h`` as a dense array; ``ValueError`` naming the worst entry unless
-    it is square and max|a - a^T| <= 1e-10 * max(max|a|, 1)."""
+    it is square, finite and max|a - a^T| <= 1e-10 * max(max|a|, 1)."""
     a = as_dense(h)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"matrix has non-finite entries, first a[{i},{j}] = {a[i, j]}")
     if a.size:
         asym = np.abs(a - a.T)
         worst = float(asym.max())
@@ -288,8 +291,8 @@ def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     each eigenvector's largest-magnitude component is made positive, so
     the output is fully deterministic.
 
-    Raises ``ValueError`` for non-square or asymmetric input (the
-    report includes the worst offending entry) and for k out of range.
+    Raises ``ValueError`` for non-square, non-finite or asymmetric input
+    (the report names the offending entry) and for k out of range.
     """
     a = require_symmetric(h)
     n = a.shape[0]
@@ -473,6 +476,9 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValueError("points must be a 2-D array with rows as points")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite coordinates in points {bad.tolist()}")
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")

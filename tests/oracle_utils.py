@@ -6,9 +6,10 @@ chains, cyclic Jacobi solvers independent of the LAPACK the library
 calls, the full per-row completion step and its fixpoint loop, a
 label-setting completion closure, per-element Matrix Market array
 writers and reader, per-query retrieval evaluation, the dense
-multiplicative-update NMF loop, and the per-column sign convention
-loop.  The NMF error trace is the exception: it reruns the library's
-factorization, one more update each time."""
+multiplicative-update NMF loop, the per-column sign convention loop,
+and the dense bipartite block embedding.  The NMF error trace is the
+exception: it reruns the library's factorization, one more update each
+time."""
 
 import heapq
 import warnings
@@ -379,3 +380,11 @@ def sign_fix_oracle(vectors):
             out[:, j] = -col
             signs[j] = -1.0
     return out, signs
+
+
+def bipartite_embed_oracle(a):
+    """Dense square symmetric embedding [[0, A], [A^T, 0]] of a rectangular
+    matrix: its eigenvalues are the singular values of A and their negatives,
+    and its eigenvector blocks span A's singular subspaces."""
+    m, n = a.shape
+    return np.block([[np.zeros((m, m)), a], [a.T, np.zeros((n, n))]])

@@ -940,6 +940,41 @@ def test_cluster_spectral_requires_alpha(tmp_path):
               "--k", "2", "--out", str(tmp_path / "c"), "--quiet"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_spectral_names_a_non_finite_point(tmp_path, capsys, bad):
+    points = np.random.default_rng(0).random((2, 8))
+    points[1, 5] = bad
+    write_matrix(tmp_path / "m.mtx", points)
+    assert main(["cluster", "--matrix", str(tmp_path / "m.mtx"), "--method", "spectral",
+                 "--alpha", "0.5", "--k", "2", "--out", str(tmp_path / "c"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: non-finite coordinates in points [5]\n"
+    assert not (tmp_path / "c").exists()
+
+
+# sha256 of labels.csv and scores.json, as written before normalize_affinity
+# lost its scheme argument: the spectral path must keep every output byte
+_TWO_RINGS_SHA256 = {
+    "5": ("73cf3e001024ea682254556c4292b6dd44a5bda136ae402175d6de0cfb096f44",
+          "f124b7d95834c3cc4492ba956a6ce5e5ff9702d8938af7cbd9920e652dcb4fa5"),
+    "8": ("73cf3e001024ea682254556c4292b6dd44a5bda136ae402175d6de0cfb096f44",
+          "f10ab7ba13f48c748de8d79789b49c582031d5e4e54a861ab4bbf564ece48858"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TWO_RINGS_SHA256))
+def test_cluster_spectral_two_rings_outputs_are_pinned(tmp_path, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the hashed config free of tmp_path
+    points, labels = cluster_mod.two_rings(40, radii=(1.0, 2.0), noise=0.2, seed=3)
+    write_matrix("rings.mtx", points)
+    Path("rings.csv").write_text("".join(f"{lab}\n" for lab in labels))
+    assert main(["cluster", "--matrix", "rings.mtx", "--method", "spectral", "--k", "2",
+                 "--alpha", "0.5", "--seed", seed, "--reference", "rings.csv",
+                 "--out", "out", "--quiet"]) == 0
+    digests = tuple(hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+                    for name in ("labels.csv", "scores.json"))
+    assert digests == _TWO_RINGS_SHA256[seed]
+
+
 def test_cluster_kernel_flags_set_to_zero_reach_the_kernel(tmp_path, capsys):
     write_matrix(tmp_path / "m.mtx", np.random.default_rng(0).random((2, 8)))
     run = ["cluster", "--matrix", str(tmp_path / "m.mtx"), "--method", "spectral",

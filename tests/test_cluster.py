@@ -70,7 +70,7 @@ def test_spectral_affinity_scale_invariance():
     w = np.asarray(g.weights)
 
     def labels_from(weights):
-        normalized = normalize_affinity(AffinityGraph(weights), "nassoc")
+        normalized = normalize_affinity(AffinityGraph(weights))
         vec = symmetric_eigen_topk(normalized, 2).vectors
         norms = np.linalg.norm(vec, axis=1, keepdims=True)
         return kmeans(vec / norms, 2, seed=7)

@@ -15,6 +15,7 @@ from lsikit.matrix import (
     kmeans,
     nmf_factorize,
     rank_k_reconstruct,
+    require_symmetric,
     symmetric_eigen_topk,
     truncated_svd,
 )
@@ -170,6 +171,28 @@ def test_eigen_rejects_asymmetry_with_report():
         symmetric_eigen_topk(h, 1)
     with pytest.raises(ValueError, match="not square"):
         symmetric_eigen_topk(np.ones((2, 3)), 1)
+
+
+def test_require_symmetric_reports_the_worst_entry_within_its_tolerance():
+    with pytest.raises(ValueError, match=r"not square: shape \(2, 3\)"):
+        require_symmetric(np.ones((2, 3)))
+    h = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.5, 1.0]])
+    with pytest.raises(ValueError, match=r"not symmetric: \|a\[1,2\] - a\[2,1\]\| = 5\.000e-01"):
+        require_symmetric(h)
+    # within 1e-10 * max(max|a|, 1) counts as symmetric
+    h[1, 2] = 3.5 - 1e-10
+    assert require_symmetric(h)[1, 2] == h[1, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_rejects_non_finite_input(bad):
+    # a NaN asymmetry compares False against the tolerance, so the
+    # symmetry check alone would pass [[1, nan], [nan, 1]] to eigh
+    h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, bad], [0.0, bad, 1.0]])
+    with pytest.raises(ValueError, match=r"matrix has non-finite entries, first a\[1,2\]"):
+        symmetric_eigen_topk(h, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigen_topk([[1.0, np.nan], [np.nan, 1.0]], 1)
 
 
 def test_eigen_rejects_bad_k():
@@ -462,6 +485,12 @@ def test_kmeans_rejects_bad_arguments():
         kmeans(x, 4, seed=0)
     with pytest.raises(ValueError, match="points must be a 2-D array with rows as points"):
         kmeans(np.zeros(3), 1, seed=0)
+    # one NaN point makes every restart's inertia NaN, so no run would be kept
+    for bad in (np.nan, np.inf):
+        x = np.random.default_rng(3).random((6, 2))
+        x[2, 1] = x[4, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite coordinates in points \[2, 4\]$"):
+            kmeans(x, 2, seed=0)
 
 
 def test_kmeans_deterministic():
