@@ -13,7 +13,7 @@ from lsikit.graphs import (
     kernel_affinity,
     normalize_affinity,
 )
-from lsikit.matrix import truncated_svd
+from lsikit.matrix import SparseMatrix, truncated_svd
 
 from conftest import SYNONYMY
 from oracle_utils import bipartite_embed_oracle
@@ -137,18 +137,26 @@ def test_affinity_graph_validation():
         AffinityGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
         AffinityGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    # asymmetry may reach 1e-12 * max(|w|, 1), one-sided entries included
-    AffinityGraph(np.array([[0.0, 1e3], [1e3 + 1e-10, 0.0]]))
-    for w in ([[0.0, 1.0], [1.0 + 1e-11, 0.0]], [[0.0, 2e-12], [0.0, 0.0]]):
-        with pytest.raises(ValueError, match="symmetric"):
-            AffinityGraph(np.array(w))
-    AffinityGraph(np.zeros((3, 3)))
     # a NaN compares False with every bound, so it would pass the
     # symmetry and sign checks
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="affinity matrix has non-finite weights"):
             AffinityGraph(np.array([[1.0, 1.0, bad], [1.0, 1.0, 1.0], [bad, 1.0, 1.0]]))
 
+
+def test_sparse_affinity_graph_validation_matches_dense():
+    # a SparseMatrix is checked on its dense form, with the same messages
+    for form in (np.asarray, SparseMatrix.from_dense):
+        with pytest.raises(ValueError, match="square"):
+            AffinityGraph(form(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="nonnegative"):
+            AffinityGraph(form(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+        # asymmetry may reach 1e-12 * max(|w|, 1), entries absent on one side included
+        AffinityGraph(form(np.array([[0.0, 1e3], [1e3 + 1e-10, 0.0]])))
+        for w in ([[0.0, 1.0], [1.0 + 1e-11, 0.0]], [[0.0, 2e-12], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                AffinityGraph(form(np.array(w)))
+        AffinityGraph(form(np.zeros((3, 3))))
 
 def test_kernel_overflow_to_non_finite_weights_is_rejected():
     # finite points whose gram entries overflow to inf
