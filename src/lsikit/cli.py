@@ -557,15 +557,40 @@ def cmd_sweep(args):
 
 
 def _read_reference_labels(path):
-    labels = []
+    """Reference labels by item index: ``item,label`` lines, as ``cluster``
+    writes them, in any order (a header line ``item,...`` is skipped), or
+    one label per line in item order.  Every item from 0 up has one line."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("item,"):
                 continue
-            parts = line.split(",")
-            labels.append(int(parts[-1]))
-    return np.array(labels, dtype=np.int64)
+            try:
+                fields = [int(field) for field in line.split(",")]
+            except ValueError:
+                fields = []
+            if len(fields) not in (1, 2) or (rows and len(fields) != len(rows[0][1])):
+                raise ValueError(f"{path} line {number}: expected integers 'item,label' or "
+                                 f"'label', the same on every line, got {line!r}")
+            rows.append((number, fields))
+    if not rows or len(rows[0][1]) == 1:
+        return np.array([fields[0] for _, fields in rows], dtype=np.int64)
+    line_of = {}
+    for number, (item, _) in rows:
+        if item < 0:
+            raise ValueError(f"{path} line {number}: negative item {item}")
+        if item in line_of:
+            raise ValueError(f"{path} line {number}: item {item} already on line {line_of[item]}")
+        line_of[item] = number
+    missing = set(range(len(rows))) - line_of.keys()
+    if missing:
+        raise ValueError(f"{path}: item {min(missing)} has no line, "
+                         f"though line {line_of[max(line_of)]} names item {max(line_of)}")
+    labels = np.empty(len(rows), dtype=np.int64)
+    for _, (item, label) in rows:
+        labels[item] = label
+    return labels
 
 
 def cmd_cluster(args):

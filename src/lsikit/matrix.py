@@ -3,9 +3,11 @@
 Dense matrices are plain float64 ``numpy.ndarray`` objects in row-major
 order.  Sparse matrices are immutable coordinate-triplet values
 (:class:`SparseMatrix`).  Eigenpairs and singular triplets come from
-one LAPACK call each (``numpy.linalg.eigh`` and ``numpy.linalg.svd``),
-followed by a stable sort and a fixed sign convention, so results are
-deterministic.
+one LAPACK call each, followed by a stable sort and a fixed sign
+convention, so results are deterministic.  Only the k wanted eigenpairs
+are computed, by ``dsyevr`` from numpy's own OpenBLAS through ctypes
+(``scipy.linalg.eigh`` with the same driver under another BLAS); the
+singular triplets come from ``numpy.linalg.svd``.
 
 Parallel BLAS and LAPACK sum in an order that depends on the thread
 count, so their last bits do too.  :func:`blas_on_calling_thread` runs
@@ -175,10 +177,8 @@ class EigenPairs:
 # BLAS threads
 
 
-@functools.cache
-def _openblas_threads_setter():
-    """numpy's ``openblas_set_num_threads_local``, or None when numpy's
-    BLAS is not OpenBLAS.  Looked up on first use, not at import."""
+def _numpy_blas_symbol(name):
+    """The C function ``name`` from the BLAS/LAPACK numpy links, or None."""
     import ctypes
 
     try:
@@ -187,10 +187,20 @@ def _openblas_threads_setter():
         from numpy.core import _multiarray_umath
     try:
         # dlsym on the extension also searches the libraries it links
-        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+        return getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (OSError, AttributeError):
         return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+
+
+@functools.cache
+def _openblas_threads_setter():
+    """numpy's ``openblas_set_num_threads_local``, or None when numpy's
+    BLAS is not OpenBLAS.  Looked up on first use, not at import."""
+    import ctypes
+
+    setter = _numpy_blas_symbol("openblas_set_num_threads_local")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
     return setter
 
 
@@ -283,27 +293,71 @@ def require_symmetric(h) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _lapacke_dsyevr():
+    """``LAPACKE_dsyevr`` with 64-bit integers from numpy's bundled
+    OpenBLAS, or None under another BLAS.  Looked up on first use."""
+    import ctypes
+
+    evr = _numpy_blas_symbol("scipy_LAPACKE_dsyevr64_")
+    if evr is not None:
+        i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+        # layout (102: column-major), jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+        # m, w, z, ldz, isuppz
+        evr.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64,
+                        f64, ptr, ptr, ptr, i64, ptr]
+        evr.restype = i64
+    return evr
+
+
+def _eigh_top(a, k):
+    """The k largest eigenvalues of symmetric ``a``, ascending, and their
+    eigenvectors: one LAPACK dsyevr call on the lower triangle."""
+    n = a.shape[0]
+    evr = _lapacke_dsyevr()
+    if evr is None:
+        from scipy.linalg import eigh
+
+        return eigh(a, subset_by_index=(n - k, n - 1), driver="evr")
+    work = np.array(a, order="F")  # dsyevr overwrites its input
+    values, found = np.empty(n), np.zeros(1, dtype=np.int64)
+    vectors = np.empty((n, k), order="F")
+    support = np.empty(2 * k, dtype=np.int64)
+    info = evr(102, b"V", b"I", b"L", n, work.ctypes.data, n, 0.0, 0.0, n - k + 1, n, 0.0,
+               found.ctypes.data, values.ctypes.data, vectors.ctypes.data, n, support.ctypes.data)
+    if info != 0 or found[0] != k:
+        raise np.linalg.LinAlgError(
+            f"LAPACK dsyevr found {found[0]} of {k} eigenpairs (info {info})")
+    return values[:k], vectors
+
+
 def symmetric_eigen_topk(h, k: int) -> EigenPairs:
     """Top-k algebraically largest eigenpairs of a symmetric matrix.
 
-    Eigenvalues are sorted non-increasing by a stable sort, so ties keep
-    LAPACK's order (ascending original position for diagonal input);
-    each eigenvector's largest-magnitude component is made positive, so
-    the output is fully deterministic.
+    Only the k pairs are computed, by LAPACK's ``dsyevr`` (numpy's own
+    OpenBLAS, bound through ctypes; ``scipy.linalg.eigh`` with the same
+    driver under another BLAS), from the lower triangle.  Eigenvalues are
+    sorted non-increasing by a stable sort, so ties keep LAPACK's order
+    (ascending original position for diagonal input).  When equal values
+    straddle the k-th place, the pairs kept are the ones LAPACK orders
+    last: ``np.diag([2.0, 5.0, 2.0])`` at k = 2 gives e2, then e3.  Any
+    basis of a tied eigenspace is valid.  Each eigenvector's
+    largest-magnitude component is made positive, so the output is fully
+    deterministic.
 
     Raises ``ValueError`` for non-square, non-finite or asymmetric input
-    (the report names the offending entry) and for k out of range.
+    (the report names the offending entry) and for k out of range, and
+    ``numpy.linalg.LinAlgError`` (a ``ValueError``) when LAPACK fails.
     """
     a = require_symmetric(h)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     with blas_on_calling_thread():
-        values, vectors = np.linalg.eigh(a)
+        values, vectors = _eigh_top(a, k)
     order = np.argsort(-values, kind="stable")
-    values = values[order][:k]
-    vectors, _ = _sign_fix(vectors[:, order][:, :k])
-    return EigenPairs(values, vectors)
+    vectors, _ = _sign_fix(vectors[:, order])
+    return EigenPairs(values[order], vectors)
 
 
 def truncated_svd(a, k: int) -> SvdFactors:

@@ -933,6 +933,42 @@ def test_cluster_bipartite_svd_on_synonymy(tmp_path):
     assert set(scores["scores"]) == {"mi", "entropy", "purity", "fmeasure"}
 
 
+def _cluster_synonymy(tmp_path, reference, out):
+    write_matrix(tmp_path / "syn.mtx", SparseMatrix.from_dense(SYNONYMY))
+    (tmp_path / "ref.csv").write_text(reference)
+    return main(["cluster", "--matrix", str(tmp_path / "syn.mtx"), "--method", "bipartite-svd",
+                 "--k", "2", "--reference", str(tmp_path / "ref.csv"), "--out", str(out),
+                 "--quiet"])
+
+
+def test_reference_labels_are_placed_by_item(tmp_path):
+    # the labels cluster writes, rows shuffled: each label belongs to its item
+    scores = []
+    for rows in (["0,0", "1,0", "2,0", "3,1", "4,1"], ["3,1", "0,0", "4,1", "2,0", "1,0"]):
+        out = tmp_path / str(len(scores))
+        assert _cluster_synonymy(tmp_path, "item,label\n" + "\n".join(rows) + "\n", out) == 0
+        scores.append(json.loads((out / "scores.json").read_text())["scores"])
+    assert scores[0] == scores[1]
+    assert scores[0]["purity"] == 1.0
+
+
+@pytest.mark.parametrize("reference, problem", [
+    ("item,label\n0,0\n1,0\n2,0\n1,1\n4,1\n", "line 5: item 1 already on line 3"),
+    ("item,label\n0,0\n1,0\n2,0\n3,1\n5,1\n", "item 4 has no line, though line 6 names item 5"),
+    ("item,label\n0,0\n1,0\n-2,0\n3,1\n4,1\n", "line 4: negative item -2"),
+    ("item,label\n0,0\n1,0\n2.0,0\n3,1\n4,1\n", "line 4: expected integers"),
+    ("item,label\n0,0\n1,0\n2,0,1\n3,1\n4,1\n", "line 4: expected integers"),
+    ("0\n0\n0,0\n1\n1\n", "line 3: expected integers"),
+    ("0\n0\nzero\n1\n1\n", "line 3: expected integers"),
+], ids=["duplicate", "missing", "negative", "non-integer", "three-fields", "mixed-forms",
+        "non-integer-label"])
+def test_bad_reference_lines_are_named(tmp_path, capsys, reference, problem):
+    assert _cluster_synonymy(tmp_path, reference, tmp_path / "c") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'ref.csv'}") and problem in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cluster_spectral_requires_alpha(tmp_path):
     write_matrix(tmp_path / "m.mtx", np.random.default_rng(0).random((2, 8)))
     with pytest.raises(SystemExit, match="alpha"):
@@ -959,20 +995,45 @@ _TWO_RINGS_SHA256 = {
     "8": ("73cf3e001024ea682254556c4292b6dd44a5bda136ae402175d6de0cfb096f44",
           "f10ab7ba13f48c748de8d79789b49c582031d5e4e54a861ab4bbf564ece48858"),
 }
+# the same for two moons, as written while the eigenpairs came from a full
+# numpy.linalg.eigh; the reference is in lsikit's own item,label format
+_TWO_MOONS_SHA256 = {
+    "5": ("a6480a04b7515371818478060a6ca51b52da8348276905b32fd0a0c972175c40",
+          "0a9677edb1410ef3c039217811cea9bd29996dfea9861150c4fac314303aabd8"),
+    "8": ("a6480a04b7515371818478060a6ca51b52da8348276905b32fd0a0c972175c40",
+          "99b3658b935a0cf520c8bf2596e02f912512da430935b70b774b425d60d8ff7d"),
+}
+
+
+def _spectral_digests(name, points, reference, alpha, seed):
+    write_matrix(f"{name}.mtx", points)
+    Path(f"{name}.csv").write_text(reference)
+    assert main(["cluster", "--matrix", f"{name}.mtx", "--method", "spectral", "--k", "2",
+                 "--alpha", alpha, "--seed", seed, "--reference", f"{name}.csv",
+                 "--out", "out", "--quiet"]) == 0
+    return tuple(hashlib.sha256(Path("out", output).read_bytes()).hexdigest()
+                 for output in ("labels.csv", "scores.json"))
 
 
 @pytest.mark.parametrize("seed", sorted(_TWO_RINGS_SHA256))
 def test_cluster_spectral_two_rings_outputs_are_pinned(tmp_path, monkeypatch, seed):
     monkeypatch.chdir(tmp_path)  # relative paths keep the hashed config free of tmp_path
     points, labels = cluster_mod.two_rings(40, radii=(1.0, 2.0), noise=0.2, seed=3)
-    write_matrix("rings.mtx", points)
-    Path("rings.csv").write_text("".join(f"{lab}\n" for lab in labels))
-    assert main(["cluster", "--matrix", "rings.mtx", "--method", "spectral", "--k", "2",
-                 "--alpha", "0.5", "--seed", seed, "--reference", "rings.csv",
-                 "--out", "out", "--quiet"]) == 0
-    digests = tuple(hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
-                    for name in ("labels.csv", "scores.json"))
-    assert digests == _TWO_RINGS_SHA256[seed]
+    reference = "".join(f"{lab}\n" for lab in labels)
+    assert _spectral_digests("rings", points, reference, "0.5", seed) == _TWO_RINGS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(_TWO_MOONS_SHA256))
+def test_cluster_spectral_two_moons_outputs_are_pinned(tmp_path, monkeypatch, seed):
+    # at alpha 0.1 the second eigenvalue has a gap below it, so the two
+    # leading eigenvectors span one subspace whatever the solver
+    monkeypatch.chdir(tmp_path)
+    t = np.pi * np.arange(40) / 39
+    points = np.concatenate([np.stack([np.cos(t), np.sin(t)]),
+                             np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)])], axis=1)
+    points = points + 0.1 * np.random.default_rng(4).standard_normal(points.shape)
+    reference = "item,label\n" + "".join(f"{i},{i // 40}\n" for i in range(80))
+    assert _spectral_digests("moons", points, reference, "0.1", seed) == _TWO_MOONS_SHA256[seed]
 
 
 def test_cluster_kernel_flags_set_to_zero_reach_the_kernel(tmp_path, capsys):
@@ -1361,12 +1422,30 @@ def test_importing_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(lsikit.matrix._lapacke_dsyevr() is None,
+                    reason="numpy's BLAS has no LAPACKE_dsyevr: the eigensolver imports scipy.linalg")
+def test_spectral_cluster_leaves_scipy_unloaded(tmp_path):
+    # importing scipy.linalg adds about 28 MB to the peak resident size
+    points, labels = cluster_mod.two_rings(20, noise=0.1, seed=1)
+    np.save(tmp_path / "rings.npy", points)
+    (tmp_path / "rings.csv").write_text("".join(f"{lab}\n" for lab in labels))
+    code = ("import sys; from lsikit.cli import main; "
+            "code = main(['cluster', '--matrix', 'rings.npy', '--method', 'spectral', '--k', '2', "
+            "'--alpha', '0.5', '--reference', 'rings.csv', '--out', 'out', '--quiet']); "
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "0 []"
+
+
 def test_importing_cli_does_not_look_up_openblas():
-    # the lookup opens numpy's extension through ctypes; the first command does it
-    code = "import lsikit.cli, lsikit.matrix as m; print(m._openblas_threads_setter.cache_info())"
+    # the lookups open numpy's extension through ctypes; the first command
+    # does the switch's, the first eigenproblem dsyevr's
+    code = ("import lsikit.cli, lsikit.matrix as m; print(m._openblas_threads_setter.cache_info(), "
+            "m._lapacke_dsyevr.cache_info())")
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True, timeout=120)
-    assert "misses=0" in out.stdout
+    assert out.stdout.count("misses=0") == 2
 
 
 def _made_up_word(i):

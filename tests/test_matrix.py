@@ -210,6 +210,14 @@ def test_eigen_tie_break_by_original_index():
     np.testing.assert_allclose(pairs.vectors[:, 2], [0, 0, 1], atol=1e-12)
 
 
+def test_eigen_tie_across_the_kth_value_keeps_the_pairs_lapack_orders_last():
+    # LAPACK orders the tied 2s by original index and the top-2 request
+    # takes its last two pairs; with every pair computed this was e2, e1
+    pairs = symmetric_eigen_topk(np.diag([2.0, 5.0, 2.0]), 2)
+    np.testing.assert_allclose(pairs.values, [5.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(pairs.vectors, [[0, 0], [1, 0], [0, 1]], atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # truncated_svd / rank_k_reconstruct
 

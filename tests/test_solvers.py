@@ -28,7 +28,8 @@ EIGEN_KINDS = ("random", "rank_deficient", "diagonal_ties", "repeated")
 # uniform random matrices do not expose thread-dependent LAPACK paths.
 # The 3076 x 300 SVD, the 400 x 400 eigenproblem and the rank-100 NMF
 # differed in the last bits between 1 and 2 OpenBLAS threads before
-# the solvers ran BLAS on the calling thread.  The NMF runs under the
+# the solvers ran BLAS on the calling thread.  The eigenproblems are
+# solved for their top 2, top 10 and all eigenpairs.  The NMF runs under the
 # switch, as every CLI command does.  With argument "off" the switch
 # finds no OpenBLAS and does nothing.
 _THREAD_SCRIPT = """
@@ -58,9 +59,10 @@ for a in [zipf_matrix(seed) for seed in range(4)] + [zipf_matrix(0, docs=300)]:
         h.update(x.tobytes())
 for n in (200, 400):
     x = np.random.default_rng(99).standard_normal((n, n))
-    pairs = symmetric_eigen_topk(x + x.T, n)
-    h.update(pairs.values.tobytes())
-    h.update(pairs.vectors.tobytes())
+    for k in (2, 10, n):
+        pairs = symmetric_eigen_topk(x + x.T, k)
+        h.update(pairs.values.tobytes())
+        h.update(pairs.vectors.tobytes())
 with blas_on_calling_thread():
     for x in nmf_factorize(zipf_matrix(0, docs=300), 100, 5, 0):
         h.update(x.tobytes())
@@ -279,3 +281,40 @@ def test_eigen_matches_jacobi_oracle(kind):
             ref = ref_vectors[:, :k]
             # projectors are scale-free: 1e-10 * scale on scale * P
             np.testing.assert_allclose(top @ top.T, ref @ ref.T, rtol=0, atol=1e-10)
+
+
+def test_scipy_fallback_gives_the_same_pairs(monkeypatch):
+    # where numpy's BLAS has no LAPACKE_dsyevr, scipy.linalg.eigh runs the
+    # same LAPACK routine: same values, subspaces and choice among ties
+    rng = np.random.default_rng([MASTER_SEED, 2])
+    inputs = [np.diag([2.0, 5.0, 2.0])]
+    inputs += [_eigen_input(kind, rng) for kind in EIGEN_KINDS for _ in range(TRIALS)]
+
+    def every_k():
+        return [[symmetric_eigen_topk(h, k) for k in range(1, h.shape[0] + 1)] for h in inputs]
+
+    native = every_k()
+
+    class NoLapacke:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoLapacke)
+    matrix._lapacke_dsyevr.cache_clear()
+    try:
+        assert matrix._lapacke_dsyevr() is None
+        fallback = every_k()
+    finally:
+        matrix._lapacke_dsyevr.cache_clear()
+    for h, ours, theirs in zip(inputs, native, fallback):
+        full = ours[-1].values
+        scale = max(np.abs(full).max(), EPS)
+        gaps = _gaps(full, scale)
+        for k, (a, b) in enumerate(zip(ours, theirs), 1):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-10 * scale)
+            if gaps[k - 1]:
+                np.testing.assert_allclose(a.vectors @ a.vectors.T, b.vectors @ b.vectors.T,
+                                           rtol=0, atol=1e-10)
+            if np.count_nonzero(h - np.diag(np.diag(h))) == 0:
+                # unit vectors: the same tied pairs are chosen
+                np.testing.assert_allclose(a.vectors, b.vectors, rtol=0, atol=1e-12)
